@@ -60,10 +60,12 @@
 
 #![deny(missing_docs)]
 
+mod arena;
 mod cnf;
 pub mod drat;
 #[cfg(any(test, feature = "faults"))]
 pub mod faults;
+mod heap;
 mod lit;
 mod simplify;
 mod solver;

@@ -52,6 +52,7 @@
 //! assert!(m.lit_is_true(t)); // extension reconstructs eliminated variables
 //! ```
 
+use crate::arena::ClauseMeta;
 use crate::solver::Reason;
 use crate::{LBool, Lit, Solver, Var};
 
@@ -389,12 +390,12 @@ impl Solver {
             {
                 break;
             }
-            if self.assigns[vi] != LBool::Undef || self.eliminated[vi] {
+            let var = Var::from_index(vi);
+            if self.value_var(var) != LBool::Undef || self.eliminated[vi] {
                 continue;
             }
-            let var = Var::from_index(vi);
             for positive in [true, false] {
-                if self.assigns[vi] != LBool::Undef {
+                if self.value_var(var) != LBool::Undef {
                     break;
                 }
                 let probe = Lit::new(var, positive);
@@ -441,17 +442,21 @@ impl Solver {
     /// and letting them join subsumption/elimination only strengthens both.
     fn extract_clauses(&self) -> Vec<SimpClause> {
         let mut clauses: Vec<SimpClause> = self
-            .headers
-            .iter()
-            .filter(|h| !h.deleted)
-            .map(|h| SimpClause {
-                lits: self.clause_lits[h.start as usize..(h.start + h.len) as usize].to_vec(),
-                learnt: h.learnt,
-                activity: h.activity,
-                lbd: h.lbd,
-                deleted: false,
-                share: h.share,
-                exported: h.exported,
+            .arena
+            .offsets()
+            .filter(|&c| !self.arena.header(c).is_deleted())
+            .map(|c| {
+                let h = self.arena.header(c);
+                let meta = self.metas[self.arena.id(c)];
+                SimpClause {
+                    lits: self.arena.lits(c).to_vec(),
+                    learnt: h.is_learnt(),
+                    activity: meta.activity,
+                    lbd: meta.lbd,
+                    deleted: false,
+                    share: meta.share,
+                    exported: h.is_exported(),
+                }
             })
             .collect();
         for code in 0..self.bin_watches.len() {
@@ -665,7 +670,9 @@ impl Solver {
         // Cheapest candidates first: fewest occurrences total.
         let mut candidates: Vec<(usize, Var)> = (0..self.num_vars())
             .filter(|&vi| {
-                !self.frozen[vi] && !self.eliminated[vi] && self.assigns[vi] == LBool::Undef
+                !self.frozen[vi]
+                    && !self.eliminated[vi]
+                    && self.value_var(Var::from_index(vi)) == LBool::Undef
             })
             .map(|vi| {
                 let v = Var::from_index(vi);
@@ -677,7 +684,7 @@ impl Solver {
         candidates.sort_unstable_by_key(|&(total, v)| (total, v));
 
         for (_, v) in candidates {
-            if self.assigns[v.index()] != LBool::Undef {
+            if self.value_var(v) != LBool::Undef {
                 continue; // assigned meanwhile by a unit resolvent
             }
             let live = |occ: &[u32], clauses: &[SimpClause]| -> Vec<u32> {
@@ -789,8 +796,8 @@ impl Solver {
     /// set, rebuilding every watch list and binary implication list (this
     /// also compacts the arena holes left by deleted clauses).
     fn rebuild(&mut self, clauses: Vec<SimpClause>) {
-        self.headers.clear();
-        self.clause_lits.clear();
+        self.arena.clear();
+        self.metas.clear();
         self.reset_waste();
         for w in &mut self.watches {
             w.clear();
@@ -804,17 +811,17 @@ impl Solver {
         // All trail entries are top-level facts now; their reasons pointed
         // into the old database. Unassigned variables already carry no
         // clause reference (`backtrack_to` scrubs on unassignment), so this
-        // trail walk leaves the whole solver free of old-arena indices.
+        // trail walk leaves the whole solver free of old-arena offsets.
         for i in 0..self.trail.len() {
             let vi = self.trail[i].var().index();
             self.var_data[vi].reason = Reason::Decision;
         }
         #[cfg(debug_assertions)]
         for (vi, d) in self.var_data.iter().enumerate() {
-            if self.assigns[vi] == LBool::Undef {
+            if self.value_var(Var::from_index(vi)) == LBool::Undef {
                 debug_assert!(
                     !matches!(d.reason, Reason::Long(_)),
-                    "unassigned v{vi} carries a clause-index reason into rebuild"
+                    "unassigned v{vi} carries a clause reason into rebuild"
                 );
             }
         }
@@ -841,15 +848,15 @@ impl Solver {
                 self.attach_binary_shared(c.lits[0], c.lits[1], c.share);
                 continue;
             }
-            let activity = c.activity;
-            let lbd = c.lbd;
-            let learnt = c.learnt;
-            let share = c.share;
-            let exported = c.exported;
-            let cref = self.attach_clause_shared(c.lits, learnt, share);
-            self.headers[cref as usize].activity = activity;
-            self.headers[cref as usize].lbd = lbd;
-            self.headers[cref as usize].exported = exported;
+            let meta = ClauseMeta {
+                activity: c.activity,
+                lbd: c.lbd,
+                share: c.share,
+            };
+            let cref = self.attach_clause(&c.lits, c.learnt, meta);
+            if c.exported {
+                self.arena.set_exported(cref);
+            }
         }
         self.stats.learnt_clauses = self.num_learnts as u64;
         // Every remaining clause was cleaned against the final trail, so

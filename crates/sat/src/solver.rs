@@ -3,23 +3,30 @@
 //! The solver follows the classic MiniSat architecture: two watched literals
 //! per clause, first-UIP conflict analysis, VSIDS variable activities with an
 //! index-tracked mutable heap, phase saving, Luby restarts and periodic
-//! deletion of inactive learned clauses. Two storage-level specializations
+//! deletion of inactive learned clauses. Storage-level specializations
 //! keep the propagation inner loop off cold memory:
 //!
 //! * **Binary implication graph.** Two-literal clauses — the dominant clause
 //!   length in Tseitin-encoded hardware miters — are not stored in the clause
 //!   arena at all. Each literal carries a flat list of the literals it
 //!   directly implies, so propagating a binary clause reads one inline `Lit`
-//!   and never touches a `ClauseHeader` or the literal arena. Binary
-//!   implications are propagated to fixpoint before any long clause is
-//!   visited.
+//!   and never touches the clause arena. Binary implications are propagated
+//!   to fixpoint before any long clause is visited.
+//! * **Inline clause headers.** Each longer clause is one arena record
+//!   (length and flags, id, literals) referenced by its offset, so a
+//!   watcher visit reads one contiguous region; the cold metadata (activity,
+//!   LBD, share ceiling) sits in a separate id-indexed array.
+//! * **Literal-indexed values.** The assignment is stored per literal, so
+//!   reading a literal's value is one load with no polarity branch.
 //! * **Clause-arena garbage collection.** Database reduction tombstones
-//!   headers and leaves literal holes in the arena; when the wasted-literal
-//!   ratio reaches 25% a compacting collection rebuilds the arena and remaps
-//!   every watcher and reason index, keeping memory (and cache locality)
-//!   bounded across long incremental sessions.
+//!   records and leaves holes in the arena; when the wasted-literal ratio
+//!   reaches 25% an in-place compaction slides the live records down and
+//!   remaps every watcher and reason offset, keeping memory (and cache
+//!   locality) bounded across long incremental sessions.
 
+use crate::arena::{ClauseArena, ClauseMeta, HEADER_WORDS};
 use crate::drat::{ProofLog, ProofStep};
+use crate::heap::VarHeap;
 use crate::simplify::{ExtensionEntry, SimplifyStats};
 use crate::{CnfFormula, LBool, Lit, Model, SatResult, Var};
 use std::collections::HashMap;
@@ -381,36 +388,9 @@ impl SearchConfig {
 /// (transition-definitional) fragment; such clauses are never exported.
 pub(crate) const SHARE_NONE: u32 = u32::MAX;
 
-/// Clause metadata for clauses of three or more literals. The literals
-/// themselves live in one flat arena (`Solver::clause_lits`) indexed by
-/// `start..start + len`: propagation is memory-latency-bound, and keeping all
-/// clause literals contiguous removes one pointer dereference (and most cache
-/// misses) per visited clause compared to a `Vec<Lit>` per clause. Binary
-/// clauses never reach the arena — they live in the implication lists
-/// (`Solver::bin_watches`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ClauseHeader {
-    pub(crate) start: u32,
-    pub(crate) len: u32,
-    pub(crate) learnt: bool,
-    pub(crate) deleted: bool,
-    pub(crate) activity: f64,
-    /// Literal block distance: number of distinct decision levels in the
-    /// clause at learning time. Problem clauses carry 0; learned clauses with
-    /// `lbd <= 2` ("glue" clauses) are never deleted by database reduction.
-    pub(crate) lbd: u32,
-    /// Cross-query sharing ceiling: the highest frame tag over every axiom
-    /// used in this clause's derivation, or [`SHARE_NONE`] when the
-    /// derivation used any clause outside the shareable fragment (scenario
-    /// constraints, obligations, probing, vivification).
-    pub(crate) share: u32,
-    /// Whether the clause has already been handed to the shared pool (so one
-    /// clause is exported at most once per solver).
-    pub(crate) exported: bool,
-}
-
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Watcher {
+    /// Arena offset of the watched clause.
     clause: u32,
     blocker: Lit,
 }
@@ -420,7 +400,7 @@ pub(crate) struct Watcher {
 pub(crate) enum Reason {
     /// A decision (or assumption, or top-level fact): no antecedent clause.
     Decision,
-    /// Propagated by the arena clause with this index; the propagated
+    /// Propagated by the arena clause at this offset; the propagated
     /// literal is the clause's first literal.
     Long(u32),
     /// Propagated by a binary clause; the payload is the *other* literal of
@@ -431,7 +411,7 @@ pub(crate) enum Reason {
 /// A falsified clause discovered by propagation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Conflict {
-    /// An arena clause.
+    /// The arena clause at this offset.
     Long(u32),
     /// A binary clause, given by its two (falsified) literals.
     Binary(Lit, Lit),
@@ -441,110 +421,6 @@ pub(crate) enum Conflict {
 pub(crate) struct VarData {
     pub(crate) reason: Reason,
     pub(crate) level: u32,
-}
-
-/// Index-tracked max-heap over variables ordered by VSIDS activity.
-///
-/// Unlike a lazy `BinaryHeap` of `(activity, var)` snapshots — which
-/// accumulates a stale duplicate on every bump and every backtrack — this
-/// heap stores each variable at most once and tracks its position, so an
-/// activity bump is an in-place `decrease_key`/`increase_key` sift and
-/// `pop` never has to skip stale entries. Ties break on the variable index
-/// (higher first) for a deterministic decision order.
-#[derive(Debug, Clone, Default)]
-struct VarHeap {
-    heap: Vec<Var>,
-    /// `position + 1` of each variable in `heap`; 0 when absent.
-    index: Vec<u32>,
-}
-
-impl VarHeap {
-    /// Registers a new variable (initially absent from the heap).
-    fn add_var(&mut self) {
-        self.index.push(0);
-    }
-
-    fn contains(&self, v: Var) -> bool {
-        self.index[v.index()] != 0
-    }
-
-    /// Heap order: higher activity first, ties broken towards the higher
-    /// variable index. Activities are never NaN.
-    fn better(activity: &[f64], a: Var, b: Var) -> bool {
-        let (aa, ab) = (activity[a.index()], activity[b.index()]);
-        aa > ab || (aa == ab && a > b)
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.index[self.heap[a].index()] = (a + 1) as u32;
-        self.index[self.heap[b].index()] = (b + 1) as u32;
-    }
-
-    fn sift_up(&mut self, mut pos: usize, activity: &[f64]) {
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if Self::better(activity, self.heap[pos], self.heap[parent]) {
-                self.swap(pos, parent);
-                pos = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut pos: usize, activity: &[f64]) {
-        loop {
-            let left = 2 * pos + 1;
-            let right = left + 1;
-            let mut best = pos;
-            if left < self.heap.len() && Self::better(activity, self.heap[left], self.heap[best]) {
-                best = left;
-            }
-            if right < self.heap.len() && Self::better(activity, self.heap[right], self.heap[best])
-            {
-                best = right;
-            }
-            if best == pos {
-                return;
-            }
-            self.swap(pos, best);
-            pos = best;
-        }
-    }
-
-    /// Inserts a variable (no-op if already present).
-    fn insert(&mut self, v: Var, activity: &[f64]) {
-        if self.contains(v) {
-            return;
-        }
-        self.heap.push(v);
-        self.index[v.index()] = self.heap.len() as u32;
-        self.sift_up(self.heap.len() - 1, activity);
-    }
-
-    /// Restores the heap property after `v`'s activity increased
-    /// (no-op if `v` is not in the heap — it will be re-inserted with its
-    /// bumped activity when it leaves the trail).
-    fn update(&mut self, v: Var, activity: &[f64]) {
-        let idx = self.index[v.index()];
-        if idx != 0 {
-            self.sift_up((idx - 1) as usize, activity);
-        }
-    }
-
-    /// Removes and returns the most active variable.
-    fn pop(&mut self, activity: &[f64]) -> Option<Var> {
-        let top = *self.heap.first()?;
-        self.index[top.index()] = 0;
-        let last = self.heap.pop().expect("heap is non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.index[last.index()] = 1;
-            self.sift_down(0, activity);
-        }
-        Some(top)
-    }
 }
 
 /// A CDCL SAT solver.
@@ -570,8 +446,10 @@ impl VarHeap {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Solver {
-    pub(crate) headers: Vec<ClauseHeader>,
-    pub(crate) clause_lits: Vec<Lit>,
+    /// Clauses of three or more literals (see [`crate::arena`]).
+    pub(crate) arena: ClauseArena,
+    /// Cold per-clause data, indexed by the clause id stored in the arena.
+    pub(crate) metas: Vec<ClauseMeta>,
     pub(crate) watches: Vec<Vec<Watcher>>,
     /// Binary implication lists: `bin_watches[p.code()]` holds every literal
     /// `q` for which a binary clause `(!p ∨ q)` exists — i.e. the literals
@@ -580,7 +458,9 @@ pub struct Solver {
     pub(crate) bin_watches: Vec<Vec<Lit>>,
     /// Number of binary clauses stored in the implication lists.
     pub(crate) num_bin_clauses: usize,
-    pub(crate) assigns: Vec<LBool>,
+    /// Current value of every literal, indexed by literal code; `enqueue`
+    /// and `backtrack_to` write both polarities of a variable.
+    values: Vec<LBool>,
     pub(crate) var_data: Vec<VarData>,
     pub(crate) trail: Vec<Lit>,
     trail_lim: Vec<usize>,
@@ -599,11 +479,16 @@ pub struct Solver {
     /// allocation when copying antecedent literals out of the arena).
     analyze_scratch: Vec<Lit>,
     /// Reusable mark vector of clauses currently locked as a propagation
-    /// reason (indexed by clause); re-zeroed at the start of every database
-    /// reduction.
+    /// reason (indexed by clause id); re-zeroed at the start of every
+    /// database reduction.
     locked_marks: Vec<bool>,
-    /// Reusable candidate-ranking buffer for database reduction.
+    /// Reusable candidate-ranking buffer (clause offsets) for database
+    /// reduction.
     reduce_scratch: Vec<u32>,
+    /// Per-decision-level stamps for counting the distinct levels of a
+    /// learned clause (`compute_lbd`); a level counts once per epoch.
+    lbd_stamp: Vec<u32>,
+    lbd_epoch: u32,
     /// Literals sitting in arena holes left by tombstoned clauses; when the
     /// wasted ratio reaches [`Solver::GC_WASTE_DENOMINATOR`] a compacting
     /// collection runs.
@@ -703,12 +588,12 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Self {
-            headers: Vec::new(),
-            clause_lits: Vec::new(),
+            arena: ClauseArena::default(),
+            metas: Vec::new(),
             watches: Vec::new(),
             bin_watches: Vec::new(),
             num_bin_clauses: 0,
-            assigns: Vec::new(),
+            values: Vec::new(),
             var_data: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -723,6 +608,8 @@ impl Solver {
             analyze_scratch: Vec::new(),
             locked_marks: Vec::new(),
             reduce_scratch: Vec::new(),
+            lbd_stamp: Vec::new(),
+            lbd_epoch: 0,
             wasted_lits: 0,
             ok: true,
             stats: SolverStats::default(),
@@ -808,11 +695,9 @@ impl Solver {
                 }
             }
         }
-        for i in 0..self.headers.len() {
-            if !self.headers[i].deleted {
-                let h = self.headers[i];
-                let lits = &self.clause_lits[h.start as usize..(h.start + h.len) as usize];
-                log.push(ProofStep::Axiom, lits);
+        for cref in self.arena.offsets() {
+            if !self.arena.header(cref).is_deleted() {
+                log.push(ProofStep::Axiom, self.arena.lits(cref));
             }
         }
         self.proof = Some(log);
@@ -850,21 +735,11 @@ impl Solver {
     }
 
     /// Logs the deletion of an arena clause (the literals are still in the
-    /// arena when the header is tombstoned).
+    /// arena when the record is tombstoned).
     #[inline]
-    pub(crate) fn log_delete_clause(&mut self, clause: u32) {
-        let Solver {
-            headers,
-            clause_lits,
-            proof,
-            ..
-        } = self;
-        if let Some(p) = proof.as_mut() {
-            let h = headers[clause as usize];
-            p.push(
-                ProofStep::Delete,
-                &clause_lits[h.start as usize..(h.start + h.len) as usize],
-            );
+    pub(crate) fn log_delete_clause(&mut self, cref: u32) {
+        if let Some(p) = self.proof.as_mut() {
+            p.push(ProofStep::Delete, self.arena.lits(cref));
         }
     }
 
@@ -1044,40 +919,50 @@ impl Solver {
         self.max_learnts = budget.max(8);
     }
 
-    /// Fraction of the clause-literal arena occupied by tombstoned holes
-    /// (0.0 right after a compaction or simplifier rebuild).
+    /// Fraction of the clause arena's literals that sit in tombstoned holes
+    /// (0.0 right after a compaction or simplifier rebuild). Record headers
+    /// are not counted on either side of the ratio.
     ///
     /// The garbage collector bounds this below 0.25 at every point where the
     /// solver is quiescent (i.e. outside `reduce_db` itself); the bound is
     /// asserted by the arena-GC test suites in `sat` and `bmc`.
     pub fn arena_wasted_ratio(&self) -> f64 {
-        if self.clause_lits.is_empty() {
+        let lits = self.arena_lits();
+        if lits == 0 {
             0.0
         } else {
-            self.wasted_lits as f64 / self.clause_lits.len() as f64
+            self.wasted_lits as f64 / lits as f64
         }
+    }
+
+    /// Literals stored in the arena, tombstones included (every record,
+    /// live or not, has one metadata entry until the next compaction).
+    fn arena_lits(&self) -> usize {
+        self.arena.num_words() - HEADER_WORDS * self.metas.len()
+    }
+
+    /// Whether tombstoned holes reached the collection threshold.
+    fn arena_needs_collection(&self) -> bool {
+        self.wasted_lits > 0 && self.wasted_lits * Self::GC_WASTE_DENOMINATOR >= self.arena_lits()
     }
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.var_data.len()
     }
 
     /// Number of problem clauses (excluding long learned clauses; binary
     /// clauses — including learned binaries, which are retained permanently —
     /// are counted).
     pub fn num_clauses(&self) -> usize {
-        self.headers
-            .iter()
-            .filter(|c| !c.learnt && !c.deleted)
+        self.arena
+            .offsets()
+            .filter(|&c| {
+                let h = self.arena.header(c);
+                !h.is_learnt() && !h.is_deleted()
+            })
             .count()
             + self.num_bin_clauses
-    }
-
-    /// The literals of a clause.
-    pub(crate) fn lits_of(&self, clause: u32) -> &[Lit] {
-        let h = &self.headers[clause as usize];
-        &self.clause_lits[h.start as usize..(h.start + h.len) as usize]
     }
 
     /// Solving statistics accumulated so far.
@@ -1087,8 +972,9 @@ impl Solver {
 
     /// Allocates a fresh Boolean variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        let v = Var::from_index(self.num_vars());
+        self.values.push(LBool::Undef);
+        self.values.push(LBool::Undef);
         self.var_data.push(VarData {
             reason: Reason::Decision,
             level: 0,
@@ -1105,7 +991,7 @@ impl Solver {
         self.bin_watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
         self.order.add_var();
-        self.order.insert(v, &self.activity);
+        self.order.insert(v, 0.0);
         v
     }
 
@@ -1116,17 +1002,13 @@ impl Solver {
         }
     }
 
-    fn value_var(&self, var: Var) -> LBool {
-        self.assigns[var.index()]
+    pub(crate) fn value_var(&self, var: Var) -> LBool {
+        self.values[var.positive().code()]
     }
 
+    #[inline]
     pub(crate) fn value_lit(&self, lit: Lit) -> LBool {
-        let v = self.assigns[lit.var().index()];
-        if lit.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        self.values[lit.code()]
     }
 
     pub(crate) fn decision_level(&self) -> u32 {
@@ -1219,7 +1101,7 @@ impl Solver {
                 self.attach_binary_shared(simplified[0], simplified[1], share);
             }
             _ => {
-                self.attach_clause_shared(simplified, false, share);
+                self.attach_clause(&simplified, false, ClauseMeta::new(0, share));
             }
         }
     }
@@ -1282,44 +1164,26 @@ impl Solver {
         self.bin_share.clear();
     }
 
-    pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    /// Stores a clause of three or more literals in the arena, watched on
+    /// its first two literals; returns its arena offset.
+    pub(crate) fn attach_clause(&mut self, lits: &[Lit], learnt: bool, meta: ClauseMeta) -> u32 {
         debug_assert!(lits.len() >= 3, "binary clauses use the implication lists");
-        let idx = self.headers.len() as u32;
-        let w0 = Watcher {
-            clause: idx,
+        let id = u32::try_from(self.metas.len()).expect("clause count exceeds u32 ids");
+        let cref = self.arena.push(lits, id, learnt);
+        self.metas.push(meta);
+        self.watches[(!lits[0]).code()].push(Watcher {
+            clause: cref,
             blocker: lits[1],
-        };
-        let w1 = Watcher {
-            clause: idx,
+        });
+        self.watches[(!lits[1]).code()].push(Watcher {
+            clause: cref,
             blocker: lits[0],
-        };
-        self.watches[(!lits[0]).code()].push(w0);
-        self.watches[(!lits[1]).code()].push(w1);
+        });
         if learnt {
             self.num_learnts += 1;
             self.stats.learnt_clauses = self.num_learnts as u64;
         }
-        let start = self.clause_lits.len() as u32;
-        let len = lits.len() as u32;
-        self.clause_lits.extend_from_slice(&lits);
-        self.headers.push(ClauseHeader {
-            start,
-            len,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd: 0,
-            share: SHARE_NONE,
-            exported: false,
-        });
-        idx
-    }
-
-    /// [`Solver::attach_clause`] carrying a share ceiling.
-    pub(crate) fn attach_clause_shared(&mut self, lits: Vec<Lit>, learnt: bool, share: u32) -> u32 {
-        let idx = self.attach_clause(lits, learnt);
-        self.headers[idx as usize].share = share;
-        idx
+        cref
     }
 
     /// Opens (`Some(frame)`) or closes (`None`) a shareable encoding section:
@@ -1345,7 +1209,8 @@ impl Solver {
 
     pub(crate) fn enqueue(&mut self, lit: Lit, reason: Reason) {
         debug_assert_eq!(self.value_lit(lit), LBool::Undef);
-        self.assigns[lit.var().index()] = LBool::from_bool(lit.is_positive());
+        self.values[lit.code()] = LBool::True;
+        self.values[(!lit).code()] = LBool::False;
         self.var_data[lit.var().index()] = VarData {
             reason,
             level: self.decision_level(),
@@ -1417,30 +1282,29 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
-                let header = self.headers[ci];
-                if header.deleted {
+                let header = self.arena.header(w.clause);
+                if header.is_deleted() {
                     watchers.swap_remove(i);
                     continue;
                 }
-                let s = header.start as usize;
+                // One contiguous read: the header above, then the literals.
+                let c = self.arena.lits_mut(w.clause, header.len());
                 // Make sure the false literal (!p) is at position 1.
-                if self.clause_lits[s] == !p {
-                    self.clause_lits.swap(s, s + 1);
+                if c[0] == !p {
+                    c.swap(0, 1);
                 }
-                debug_assert_eq!(self.clause_lits[s + 1], !p);
-                let first = self.clause_lits[s];
-                if first != w.blocker && self.value_lit(first) == LBool::True {
+                debug_assert_eq!(c[1], !p);
+                let first = c[0];
+                if first != w.blocker && self.values[first.code()] == LBool::True {
                     watchers[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = header.len as usize;
-                for k in 2..len {
-                    let lk = self.clause_lits[s + k];
-                    if self.value_lit(lk) != LBool::False {
-                        self.clause_lits.swap(s + 1, s + k);
+                for k in 2..c.len() {
+                    let lk = c[k];
+                    if self.values[lk.code()] != LBool::False {
+                        c.swap(1, k);
                         self.watches[(!lk).code()].push(Watcher {
                             clause: w.clause,
                             blocker: first,
@@ -1459,10 +1323,9 @@ impl Solver {
                     break;
                 } else {
                     if self.trail_lim.is_empty() {
-                        let mut share = self.headers[ci].share;
-                        for k in 1..len {
-                            share =
-                                share.max(self.level0_share[self.clause_lits[s + k].var().index()]);
+                        let mut share = self.metas[self.arena.id(w.clause)].share;
+                        for &l in &self.arena.lits(w.clause)[1..] {
+                            share = share.max(self.level0_share[l.var().index()]);
                         }
                         self.set_level0_share(first, share);
                     }
@@ -1481,22 +1344,23 @@ impl Solver {
     fn bump_var(&mut self, var: Var) {
         self.activity[var.index()] += self.var_inc;
         if self.activity[var.index()] > 1e100 {
-            // Rescaling divides every activity by the same factor, so the
-            // heap order is unchanged.
+            // Rescaling multiplies every activity, and every key stored in
+            // the heap, by the same factor, so the two stay bit-equal.
             for a in &mut self.activity {
                 *a *= 1e-100;
             }
+            self.order.rescale(1e-100);
             self.var_inc *= 1e-100;
         }
-        self.order.update(var, &self.activity);
+        self.order.update(var, self.activity[var.index()]);
     }
 
-    fn bump_clause(&mut self, clause: u32) {
-        let c = &mut self.headers[clause as usize];
-        c.activity += self.clause_inc;
-        if c.activity > 1e20 {
-            for cl in &mut self.headers {
-                cl.activity *= 1e-20;
+    fn bump_clause(&mut self, id: usize) {
+        let m = &mut self.metas[id];
+        m.activity += self.clause_inc;
+        if m.activity > 1e20 {
+            for m in &mut self.metas {
+                m.activity *= 1e-20;
             }
             self.clause_inc *= 1e-20;
         }
@@ -1520,12 +1384,13 @@ impl Solver {
         loop {
             lits.clear();
             match confl {
-                Conflict::Long(ci) => {
-                    if self.headers[ci as usize].learnt {
-                        self.bump_clause(ci);
+                Conflict::Long(cref) => {
+                    let id = self.arena.id(cref);
+                    if self.arena.header(cref).is_learnt() {
+                        self.bump_clause(id);
                     }
-                    share = share.max(self.headers[ci as usize].share);
-                    lits.extend_from_slice(self.lits_of(ci));
+                    share = share.max(self.metas[id].share);
+                    lits.extend_from_slice(self.arena.lits(cref));
                 }
                 Conflict::Binary(a, b) => {
                     share = share.max(self.bin_share_of(a, b));
@@ -1606,7 +1471,8 @@ impl Solver {
         for i in (target..self.trail.len()).rev() {
             let lit = self.trail[i];
             let v = lit.var();
-            self.assigns[v.index()] = LBool::Undef;
+            self.values[lit.code()] = LBool::Undef;
+            self.values[(!lit).code()] = LBool::Undef;
             // Scrub the reason on unassignment: a clause-index reason on an
             // unassigned variable would dangle across database reduction,
             // arena collection and simplifier rebuilds. This store makes
@@ -1614,7 +1480,7 @@ impl Solver {
             // `debug_validate` checks unconditionally.
             self.var_data[v.index()].reason = Reason::Decision;
             self.phase[v.index()] = lit.is_positive();
-            self.order.insert(v, &self.activity);
+            self.order.insert(v, self.activity[v.index()]);
         }
         self.trail.truncate(target);
         self.trail_lim.truncate(level as usize);
@@ -1623,7 +1489,8 @@ impl Solver {
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
-        while let Some(var) = self.order.pop(&self.activity) {
+        // Assigned variables stay in the heap until popped; skip them here.
+        while let Some(var) = self.order.pop() {
             if self.value_var(var) == LBool::Undef && !self.eliminated[var.index()] {
                 return Some(var);
             }
@@ -1635,112 +1502,108 @@ impl Solver {
     /// "literal block distance" quality measure of Glucose. Low-LBD clauses
     /// connect few decision levels and tend to stay useful for the rest of
     /// the search.
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits
-            .iter()
-            .map(|l| self.var_data[l.var().index()].level)
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
+        self.lbd_epoch = self.lbd_epoch.wrapping_add(1);
+        if self.lbd_epoch == 0 {
+            self.lbd_stamp.fill(0);
+            self.lbd_epoch = 1;
+        }
+        let mut distinct = 0;
+        for l in lits {
+            let level = self.var_data[l.var().index()].level as usize;
+            if level >= self.lbd_stamp.len() {
+                self.lbd_stamp.resize(level + 1, 0);
+            }
+            if self.lbd_stamp[level] != self.lbd_epoch {
+                self.lbd_stamp[level] = self.lbd_epoch;
+                distinct += 1;
+            }
+        }
+        distinct
     }
 
     fn reduce_db(&mut self) {
-        // Mark the clauses currently locked as a propagation reason. Only
-        // trail (i.e. assigned) variables can carry clause reasons:
-        // `backtrack_to` scrubs the reason on every unassignment, so the
-        // trail walk sees every live lock. The marks live in a reusable
-        // vector (re-zeroed by the clear + resize here), so the whole
-        // reduction allocates nothing once the buffers are warm.
-        self.locked_marks.clear();
-        self.locked_marks.resize(self.headers.len(), false);
-        for i in 0..self.trail.len() {
-            if let Reason::Long(c) = self.var_data[self.trail[i].var().index()].reason {
-                self.locked_marks[c as usize] = true;
-            }
-        }
+        // The lock marks and the ranking live in reusable vectors, so the
+        // whole reduction allocates nothing once the buffers are warm.
+        self.mark_locked();
         // Retention policy: glue clauses (LBD <= 2) are kept unconditionally;
-        // the rest are ranked worst-first by (high LBD, low activity) and the
-        // worst half deleted.
+        // the rest are ranked worst-first by (high LBD, low activity, clause
+        // order — arena offsets grow with clause ids) and the worst half
+        // deleted.
         let mut order = std::mem::take(&mut self.reduce_scratch);
         order.clear();
-        order.extend(
-            self.headers
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.learnt && !c.deleted && c.lbd > 2)
-                .map(|(i, _)| i as u32),
-        );
+        order.extend(self.arena.offsets().filter(|&c| {
+            let h = self.arena.header(c);
+            h.is_learnt() && !h.is_deleted() && self.metas[self.arena.id(c)].lbd > 2
+        }));
         order.sort_unstable_by(|&a, &b| {
-            let (ca, cb) = (&self.headers[a as usize], &self.headers[b as usize]);
-            cb.lbd
-                .cmp(&ca.lbd)
+            let ma = &self.metas[self.arena.id(a)];
+            let mb = &self.metas[self.arena.id(b)];
+            mb.lbd
+                .cmp(&ma.lbd)
                 .then_with(|| {
-                    ca.activity
-                        .partial_cmp(&cb.activity)
+                    ma.activity
+                        .partial_cmp(&mb.activity)
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
                 .then_with(|| a.cmp(&b))
         });
         let to_remove = order.len() / 2;
         let mut removed = 0;
-        for &idx in order.iter() {
+        for &cref in order.iter() {
             if removed >= to_remove {
                 break;
             }
-            let idx = idx as usize;
-            if self.locked_marks[idx] {
+            if self.locked_marks[self.arena.id(cref)] {
                 continue;
             }
-            self.log_delete_clause(idx as u32);
-            // The header is tombstoned; its literals stay in the arena as a
+            self.log_delete_clause(cref);
+            // The record is tombstoned; its literals stay in the arena as a
             // hole (propagation never visits them again because the watcher
             // entries are dropped lazily) until the compacting collection
             // below reclaims them.
-            self.headers[idx].deleted = true;
-            self.wasted_lits += self.headers[idx].len as usize;
+            self.arena.set_deleted(cref);
+            self.wasted_lits += self.arena.header(cref).len();
             removed += 1;
             self.num_learnts -= 1;
             self.stats.deleted_clauses += 1;
         }
         self.reduce_scratch = order;
         self.stats.learnt_clauses = self.num_learnts as u64;
-        if self.wasted_lits * Self::GC_WASTE_DENOMINATOR >= self.clause_lits.len()
-            && self.wasted_lits > 0
-        {
+        if self.arena_needs_collection() {
             self.collect_arena();
         }
     }
 
-    /// Compacting garbage collection of the clause arena: rebuilds
-    /// `clause_lits`/`headers` without the tombstoned holes and remaps every
-    /// watcher and reason index to the surviving clauses. Dead watchers
-    /// (lazily-deleted clauses) are dropped in the same sweep.
-    fn collect_arena(&mut self) {
-        let mut remap: Vec<u32> = vec![u32::MAX; self.headers.len()];
-        let live = self.headers.iter().filter(|h| !h.deleted).count();
-        let mut new_headers: Vec<ClauseHeader> = Vec::with_capacity(live);
-        let mut new_lits: Vec<Lit> =
-            Vec::with_capacity(self.clause_lits.len().saturating_sub(self.wasted_lits));
-        for (i, h) in self.headers.iter().enumerate() {
-            if h.deleted {
-                continue;
+    /// Fills `locked_marks` (by clause id) with the clauses currently locked
+    /// as a propagation reason. Only trail (i.e. assigned) variables can
+    /// carry clause reasons: `backtrack_to` scrubs the reason on every
+    /// unassignment, so the trail walk sees every live lock.
+    fn mark_locked(&mut self) {
+        self.locked_marks.clear();
+        self.locked_marks.resize(self.metas.len(), false);
+        for i in 0..self.trail.len() {
+            if let Reason::Long(c) = self.var_data[self.trail[i].var().index()].reason {
+                self.locked_marks[self.arena.id(c)] = true;
             }
-            remap[i] = new_headers.len() as u32;
-            let start = new_lits.len() as u32;
-            new_lits
-                .extend_from_slice(&self.clause_lits[h.start as usize..(h.start + h.len) as usize]);
-            new_headers.push(ClauseHeader { start, ..*h });
         }
+    }
+
+    /// Compacting garbage collection of the clause arena, in place: slides
+    /// the live records down over the tombstoned holes (keeping clause
+    /// order) and remaps every watcher and reason offset to the surviving
+    /// clauses. Dead watchers (lazily-deleted clauses) are dropped in the
+    /// same sweep.
+    fn collect_arena(&mut self) {
+        self.arena.begin_compaction(&mut self.metas);
+        let arena = &self.arena;
         for list in &mut self.watches {
-            list.retain_mut(|w| {
-                let mapped = remap[w.clause as usize];
-                if mapped == u32::MAX {
-                    false
-                } else {
-                    w.clause = mapped;
+            list.retain_mut(|w| match arena.forwarded(w.clause) {
+                Some(cref) => {
+                    w.clause = cref;
                     true
                 }
+                None => false,
             });
         }
         // Remap the reasons of assigned (trail) variables. Unassigned
@@ -1750,21 +1613,23 @@ impl Solver {
         for i in 0..self.trail.len() {
             let vi = self.trail[i].var().index();
             if let Reason::Long(c) = self.var_data[vi].reason {
-                debug_assert_ne!(remap[c as usize], u32::MAX, "reason clause must survive GC");
-                self.var_data[vi].reason = Reason::Long(remap[c as usize]);
+                let cref = self
+                    .arena
+                    .forwarded(c)
+                    .expect("reason clauses are locked and survive GC");
+                self.var_data[vi].reason = Reason::Long(cref);
             }
         }
         #[cfg(debug_assertions)]
         for (vi, d) in self.var_data.iter().enumerate() {
-            if self.assigns[vi] == LBool::Undef {
+            if self.value_var(Var::from_index(vi)) == LBool::Undef {
                 debug_assert!(
                     !matches!(d.reason, Reason::Long(_)),
-                    "unassigned v{vi} carries a clause-index reason into arena GC"
+                    "unassigned v{vi} carries a clause reason into arena GC"
                 );
             }
         }
-        self.headers = new_headers;
-        self.clause_lits = new_lits;
+        self.arena.finish_compaction();
         self.wasted_lits = 0;
         self.stats.arena_collections += 1;
     }
@@ -1775,70 +1640,136 @@ impl Solver {
         self.wasted_lits = 0;
     }
 
-    /// Exhaustive internal-invariant check used by the test suites: every
-    /// live arena clause is at least ternary and watched on exactly its
-    /// first two literals, every watcher points at a live clause through the
-    /// correct literal, and every propagation reason refers to a live clause
-    /// whose first literal is the propagated one. Dead watchers are only
-    /// tolerated for tombstoned (not yet collected) clauses.
+    /// Exhaustive internal-invariant check used by the test suites.
+    ///
+    /// * The arena walk is consistent with the metadata: the `k`-th record
+    ///   carries id `k`, there is one metadata entry per record, and the
+    ///   last record ends exactly at the end of the arena.
+    /// * Every live arena clause is at least ternary and watched on exactly
+    ///   its first two literals; the live learned clauses number
+    ///   `num_learnts`.
+    /// * A tombstone is flagged in its header and counted in the waste
+    ///   accounting: the tombstones' literals sum to the wasted count.
+    /// * Every watcher offset lands on the start of a record and, unless
+    ///   that record is a tombstone awaiting collection, watches one of its
+    ///   first two literals.
+    /// * Every propagation reason lands on the start of a live clause whose
+    ///   first literal is the propagated one; unassigned variables hold no
+    ///   clause reason.
+    /// * Both literals of a variable hold opposite values (or both
+    ///   `Undef`), and every unassigned, non-eliminated variable is in the
+    ///   decision heap.
     ///
     /// Returns a description of the first violation found.
     pub fn debug_validate(&self) -> Result<(), String> {
-        let mut watch_count = vec![0usize; self.headers.len()];
+        let words = self.arena.num_words();
+        let mut starts: Vec<u32> = Vec::with_capacity(self.metas.len());
+        let (mut learnts, mut wasted) = (0usize, 0usize);
+        for cref in self.arena.offsets() {
+            let h = self.arena.header(cref);
+            let k = starts.len();
+            if cref as usize + HEADER_WORDS + h.len() > words {
+                return Err(format!("record {k} at {cref} runs past the arena end"));
+            }
+            if self.arena.id(cref) != k || k >= self.metas.len() {
+                return Err(format!(
+                    "record {k} at {cref} carries id {} ({} metadata entries)",
+                    self.arena.id(cref),
+                    self.metas.len()
+                ));
+            }
+            starts.push(cref);
+            if h.is_deleted() {
+                wasted += h.len();
+            } else {
+                if h.len() < 3 {
+                    return Err(format!("arena clause at {cref} has {} literals", h.len()));
+                }
+                learnts += usize::from(h.is_learnt());
+            }
+        }
+        if starts.len() != self.metas.len() {
+            return Err(format!(
+                "{} arena records but {} metadata entries",
+                starts.len(),
+                self.metas.len()
+            ));
+        }
+        if wasted != self.wasted_lits {
+            return Err(format!(
+                "tombstones hold {wasted} literals but {} are counted as wasted",
+                self.wasted_lits
+            ));
+        }
+        if learnts != self.num_learnts {
+            return Err(format!(
+                "{learnts} live learned clauses but num_learnts is {}",
+                self.num_learnts
+            ));
+        }
+        let record = |cref: u32| starts.binary_search(&cref).ok();
+        let mut watch_count = vec![0usize; starts.len()];
         for (code, list) in self.watches.iter().enumerate() {
             let watched = !Lit::from_code(code);
             for w in list {
-                let Some(h) = self.headers.get(w.clause as usize) else {
-                    return Err(format!("watcher points at missing clause {}", w.clause));
+                let Some(k) = record(w.clause) else {
+                    return Err(format!(
+                        "watcher offset {} is not the start of a clause",
+                        w.clause
+                    ));
                 };
-                if h.deleted {
+                if self.arena.header(w.clause).is_deleted() {
                     continue; // lazily-deleted watcher, dropped on next visit or GC
                 }
-                let lits = self.lits_of(w.clause);
+                let lits = self.arena.lits(w.clause);
                 if lits[0] != watched && lits[1] != watched {
                     return Err(format!(
-                        "clause {} watched through {watched} which is not in its first two \
+                        "clause at {} watched through {watched} which is not in its first two \
                          literals {lits:?}",
                         w.clause
                     ));
                 }
-                watch_count[w.clause as usize] += 1;
+                watch_count[k] += 1;
             }
         }
-        for (i, h) in self.headers.iter().enumerate() {
-            if h.deleted {
-                continue;
-            }
-            if h.len < 3 {
-                return Err(format!("arena clause {i} has {} literals", h.len));
-            }
-            if watch_count[i] != 2 {
+        for (k, &cref) in starts.iter().enumerate() {
+            if !self.arena.header(cref).is_deleted() && watch_count[k] != 2 {
                 return Err(format!(
-                    "clause {i} has {} watchers, expected 2",
-                    watch_count[i]
+                    "clause at {cref} has {} watchers, expected 2",
+                    watch_count[k]
                 ));
             }
         }
         for (vi, d) in self.var_data.iter().enumerate() {
-            if self.assigns[vi] == LBool::Undef {
+            let var = Var::from_index(vi);
+            let value = self.value_var(var);
+            if self.value_lit(var.negative()) != value.negate() {
+                return Err(format!("the two literals of v{vi} disagree"));
+            }
+            if value == LBool::Undef {
                 // `backtrack_to` scrubs reasons on unassignment; a clause
-                // index surviving here would dangle across the next
+                // offset surviving here would dangle across the next
                 // reduction, collection or rebuild.
                 if let Reason::Long(c) = d.reason {
+                    return Err(format!("unassigned v{vi} carries stale clause reason {c}"));
+                }
+                if !self.eliminated[vi] && !self.order.contains(var) {
                     return Err(format!(
-                        "unassigned v{vi} carries stale clause-index reason {c}"
+                        "unassigned v{vi} is missing from the decision heap"
                     ));
                 }
                 continue;
             }
             if let Reason::Long(c) = d.reason {
-                let Some(h) = self.headers.get(c as usize) else {
-                    return Err(format!("reason of v{vi} points at missing clause {c}"));
-                };
-                if h.deleted {
+                if record(c).is_none() {
+                    return Err(format!(
+                        "reason of v{vi} at offset {c} is not the start of a clause"
+                    ));
+                }
+                if self.arena.header(c).is_deleted() {
                     return Err(format!("reason of v{vi} points at deleted clause {c}"));
                 }
-                if self.lits_of(c)[0].var().index() != vi {
+                if self.arena.lits(c)[0].var() != var {
                     return Err(format!(
                         "reason clause {c} of v{vi} does not start with its literal"
                     ));
@@ -1912,15 +1843,12 @@ impl Solver {
         // polarity); snapshot and restore so search heuristics are unaffected.
         let saved_phase = self.phase.clone();
         // Clauses locked as a root-level propagation reason must survive.
-        self.locked_marks.clear();
-        self.locked_marks.resize(self.headers.len(), false);
-        for i in 0..self.trail.len() {
-            if let Reason::Long(c) = self.var_data[self.trail[i].var().index()].reason {
-                self.locked_marks[c as usize] = true;
-            }
-        }
+        self.mark_locked();
         let start_props = self.stats.propagations;
-        let num = self.headers.len();
+        // The cursor runs over clause ids; records do not move until the
+        // collection at the end, so their offsets are taken once here.
+        let crefs: Vec<u32> = self.arena.offsets().collect();
+        let num = crefs.len();
         let mut strengthened = 0u64;
         let mut scanned = 0usize;
         while scanned < num && self.ok {
@@ -1930,17 +1858,18 @@ impl Solver {
             let ci = self.vivify_head % num.max(1);
             self.vivify_head = (self.vivify_head + 1) % num.max(1);
             scanned += 1;
-            let h = self.headers[ci];
-            let len = h.len as usize;
-            if h.deleted || self.locked_marks[ci] || !(3..=24).contains(&len) {
+            let cref = crefs[ci];
+            let h = self.arena.header(cref);
+            let len = h.len();
+            if h.is_deleted() || self.locked_marks[ci] || !(3..=24).contains(&len) {
                 continue;
             }
-            let lits: Vec<Lit> = self.lits_of(ci as u32).to_vec();
+            let lits: Vec<Lit> = self.arena.lits(cref).to_vec();
             if lits.iter().any(|&l| self.value_lit(l) == LBool::True) {
                 continue; // root-satisfied; the simplifier's business
             }
             // Detach so the probe cannot propagate through the clause itself.
-            self.detach_watchers(ci as u32, lits[0], lits[1]);
+            self.detach_watchers(cref, lits[0], lits[1]);
             let mut kept: Vec<Lit> = Vec::with_capacity(len);
             for &l in &lits {
                 match self.value_lit(l) {
@@ -1967,11 +1896,11 @@ impl Solver {
             if kept.len() == lits.len() {
                 // No strengthening: restore the original watchers.
                 self.watches[(!lits[0]).code()].push(Watcher {
-                    clause: ci as u32,
+                    clause: cref,
                     blocker: lits[1],
                 });
                 self.watches[(!lits[1]).code()].push(Watcher {
-                    clause: ci as u32,
+                    clause: cref,
                     blocker: lits[0],
                 });
                 continue;
@@ -1981,10 +1910,10 @@ impl Solver {
             // Lemma before deletion: the checker must still hold the original
             // clause while verifying the strengthened one.
             self.log_lemma(&kept);
-            self.log_delete_clause(ci as u32);
-            self.headers[ci].deleted = true;
+            self.log_delete_clause(cref);
+            self.arena.set_deleted(cref);
             self.wasted_lits += len;
-            if h.learnt {
+            if h.is_learnt() {
                 self.num_learnts -= 1;
                 self.stats.learnt_clauses = self.num_learnts as u64;
             }
@@ -2003,21 +1932,17 @@ impl Solver {
                 },
                 2 => self.attach_binary_shared(kept[0], kept[1], SHARE_NONE),
                 _ => {
-                    let lbd = if h.learnt {
-                        h.lbd.clamp(1, kept.len() as u32)
+                    let lbd = if h.is_learnt() {
+                        self.metas[ci].lbd.clamp(1, kept.len() as u32)
                     } else {
                         0
                     };
-                    let learnt = h.learnt;
-                    let cref = self.attach_clause_shared(kept, learnt, SHARE_NONE);
-                    self.headers[cref as usize].lbd = lbd;
+                    self.attach_clause(&kept, h.is_learnt(), ClauseMeta::new(lbd, SHARE_NONE));
                 }
             }
         }
         self.phase = saved_phase;
-        if self.wasted_lits * Self::GC_WASTE_DENOMINATOR >= self.clause_lits.len()
-            && self.wasted_lits > 0
-        {
+        if self.arena_needs_collection() {
             self.collect_arena();
         }
         if let Some(span) = &mut span {
@@ -2061,20 +1986,21 @@ impl Solver {
         for (a, b, share) in std::mem::take(&mut self.bin_exports) {
             f(&[a, b], share);
         }
-        for i in 0..self.headers.len() {
-            let h = self.headers[i];
-            if h.deleted
-                || !h.learnt
-                || h.exported
-                || h.share == SHARE_NONE
-                || h.len as usize > max_len
-                || h.lbd > max_lbd
+        let crefs: Vec<u32> = self.arena.offsets().collect();
+        for cref in crefs {
+            let h = self.arena.header(cref);
+            let meta = self.metas[self.arena.id(cref)];
+            if h.is_deleted()
+                || !h.is_learnt()
+                || h.is_exported()
+                || meta.share == SHARE_NONE
+                || h.len() > max_len
+                || meta.lbd > max_lbd
             {
                 continue;
             }
-            self.headers[i].exported = true;
-            let lits = &self.clause_lits[h.start as usize..(h.start + h.len) as usize];
-            f(lits, h.share);
+            self.arena.set_exported(cref);
+            f(self.arena.lits(cref), meta.share);
         }
     }
 
@@ -2135,9 +2061,8 @@ impl Solver {
             2 => self.attach_binary_shared(kept[0], kept[1], share),
             _ => {
                 let lbd = (kept.len() as u32 - 1).min(6);
-                let cref = self.attach_clause_shared(kept, true, share);
-                self.headers[cref as usize].lbd = lbd;
-                self.headers[cref as usize].exported = true; // no re-export echo
+                let cref = self.attach_clause(&kept, true, ClauseMeta::new(lbd, share));
+                self.arena.set_exported(cref); // no re-export echo
             }
         }
         true
@@ -2289,11 +2214,8 @@ impl Solver {
             let budget = restart_base * Self::luby(restart_count);
             match self.search(budget, assumptions, conflict_start) {
                 SearchOutcome::Sat => {
-                    let mut values: Vec<bool> = self
-                        .assigns
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| match v {
+                    let mut values: Vec<bool> = (0..self.num_vars())
+                        .map(|i| match self.value_var(Var::from_index(i)) {
                             LBool::True => true,
                             LBool::False => false,
                             LBool::Undef => self.phase[i],
@@ -2400,10 +2322,8 @@ impl Solver {
                         self.enqueue(learnt[0], Reason::Binary(learnt[1]));
                     }
                     _ => {
-                        let first = learnt[0];
-                        let cref = self.attach_clause_shared(learnt, true, share);
-                        self.headers[cref as usize].lbd = lbd;
-                        self.enqueue(first, Reason::Long(cref));
+                        let cref = self.attach_clause(&learnt, true, ClauseMeta::new(lbd, share));
+                        self.enqueue(learnt[0], Reason::Long(cref));
                     }
                 }
                 self.var_inc /= 0.95;
@@ -2503,7 +2423,8 @@ impl Solver {
                             // popped: every unassigned variable must stay in
                             // the order heap, or a resumed episode could
                             // declare Sat without ever assigning it.
-                            self.order.insert(lit.var(), &self.activity);
+                            self.order
+                                .insert(lit.var(), self.activity[lit.var().index()]);
                             self.stats.budget_exhaustions += 1;
                             self.last_stop = Some(StopCause::BudgetExhausted);
                             return SearchOutcome::LimitReached;
@@ -3032,8 +2953,8 @@ mod tests {
         s.add_clause([!v[1], v[2]]);
         assert_eq!(s.num_clauses(), 2);
         // Nothing reached the arena: both clauses are pure implications.
-        assert!(s.headers.is_empty());
-        assert!(s.clause_lits.is_empty());
+        assert_eq!(s.arena.num_words(), 0);
+        assert!(s.metas.is_empty());
         assert!(s.solve().is_sat());
     }
 }

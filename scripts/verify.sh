@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repository verification: formatting, lints, and the tier-1 build/test gate.
+# Repository verification: formatting, lints, the tier-1 build/test gate and
+# the release-mode sat/bmc suites.
 #
 # Usage: scripts/verify.sh [--full]
 #
@@ -35,6 +36,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> sat + bmc suites (release): arena, propagation, search and proof properties"
+# The tier-1 command runs only the umbrella package; this step gates the
+# solver's and the unroller's own suites, including the golden search
+# trajectory that pins every decision of a seeded incremental session.
+cargo test --release -q -p sat -p bmc
 
 echo "==> bench smoke: solver_stats --smoke (search + simplification verdict agreement, k=1 subset)"
 # Fast gate: the default (adaptive simplification, all search features on),
