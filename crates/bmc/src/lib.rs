@@ -1,28 +1,25 @@
-//! # `bmc` — bounded model checking and interval property checking (IPC)
+//! # `bmc` — bounded model checking from a symbolic initial state
 //!
 //! This crate is the formal-verification engine of the UPEC reproduction. It
 //! takes a word-level [`rtl::Netlist`], bit-blasts it into CNF with Tseitin
 //! encoding, unrolls its transition relation over a bounded time window, and
 //! decides properties with the [`sat`] CDCL solver.
 //!
-//! Three layers are exposed:
-//!
-//! * [`Unrolling`] — the low-level machinery: per-frame literals for every
-//!   signal, hard constraints, assumption-based queries and model/value
-//!   extraction. The UPEC miter proofs in the `upec` crate drive this layer
-//!   directly.
-//! * [`IntervalProperty`] + [`IpcEngine`] — the assume/prove interval
-//!   properties of the paper's Fig. 4, checked from a *symbolic initial
-//!   state* (the "any-state proof" of Interval Property Checking).
-//! * [`InductionProver`] — k-induction for single-bit invariants, used to
-//!   turn bounded P-alert analyses into unbounded security proofs
-//!   (paper Sec. VI).
+//! [`Unrolling`] is the one entry point: per-frame literals for every
+//! signal, hard constraints, assumption-based queries and model/value
+//! extraction. With the default [`UnrollOptions`] every register starts
+//! fully *symbolic* in frame 0, so an `Unsat` answer holds for every
+//! starting state — the "any-state proof" of interval property checking
+//! that the UPEC miter proofs in the `upec` crate build on.
+//! [`CompiledTransition`] is the cone-of-influence compiler behind the
+//! lazy per-frame encoding, and [`GateBuilder`] the hashed Tseitin layer
+//! underneath.
 //!
 //! # Example
 //!
 //! ```
-//! use rtl::{Netlist, BitVec};
-//! use bmc::{IntervalProperty, PropertyTerm, IpcEngine, UnrollOptions};
+//! use bmc::{UnrollOptions, Unrolling};
+//! use rtl::Netlist;
 //!
 //! // Prove that a two-entry shift register delivers its input after two
 //! // cycles, for every possible starting state.
@@ -37,24 +34,22 @@
 //! let out_is_9 = n.eq(s2.value(), nine);
 //! n.output("out_is_9", out_is_9);
 //!
-//! let property = IntervalProperty::new("input reaches output", 2)
-//!     .assume(PropertyTerm::at("input is 9", 0, in_is_9))
-//!     .prove(PropertyTerm::at("output is 9", 2, out_is_9));
-//! assert!(IpcEngine::new(UnrollOptions::default()).check(&n, &property).is_proven());
+//! // Frame 0 is symbolic: `s1` and `s2` start with arbitrary values.
+//! let mut unrolling = Unrolling::new(&n, UnrollOptions::symbolic_initial_state());
+//! unrolling.extend_to(2);
+//! unrolling.assume_signal_true(0, in_is_9).unwrap();
+//! let out = unrolling.bit_lit(2, out_is_9).unwrap();
+//! // No starting state lets the output miss the input: the negated
+//! // obligation is unsatisfiable.
+//! assert!(unrolling.solve(&[!out]).is_unsat());
 //! ```
 
 #![warn(missing_docs)]
 
 mod compile;
 mod gates;
-mod induction;
-mod ipc;
-mod property;
 mod unroll;
 
 pub use compile::{CompileStats, CompiledOp, CompiledTransition};
 pub use gates::GateBuilder;
-pub use induction::{InductionOutcome, InductionProver};
-pub use ipc::{CexFrame, Counterexample, IpcEngine, IpcOutcome, IpcStats};
-pub use property::{IntervalProperty, PropertyTerm, When};
 pub use unroll::{EncodeStats, SharedClause, UnrollError, UnrollOptions, Unrolling};

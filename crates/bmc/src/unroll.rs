@@ -1162,14 +1162,6 @@ impl<'n> Unrolling<'n> {
         self.gates.add_clause([!activation]);
     }
 
-    /// Installs (or removes) a shared interrupt flag on the underlying
-    /// solver; raising the flag from another thread makes an in-flight
-    /// [`Unrolling::solve`] return [`SatResult::Unknown`]. See
-    /// [`sat::Solver::set_interrupt`].
-    pub fn set_interrupt(&mut self, flag: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>) {
-        self.gates.solver_mut().set_interrupt(flag);
-    }
-
     /// Replaces the deterministic per-call resource budget (see
     /// [`UnrollOptions::budget`]); takes effect from the next
     /// [`Unrolling::solve`] call.
@@ -1249,11 +1241,7 @@ impl<'n> Unrolling<'n> {
             solver.last_stop(),
             Some(sat::StopCause::BudgetExhausted | sat::StopCause::Cancelled)
         );
-        if !matches!(result, SatResult::Unknown)
-            || user_exhausted
-            || stopped_early
-            || solver.interrupt_raised()
-        {
+        if !matches!(result, SatResult::Unknown) || user_exhausted || stopped_early {
             return result;
         }
 

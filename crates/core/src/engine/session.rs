@@ -10,7 +10,6 @@ use bmc::{UnrollError, UnrollOptions, Unrolling};
 use rtl::BitVec;
 use sat::SatResult;
 use std::collections::BTreeSet;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -139,14 +138,6 @@ impl<'m> IncrementalSession<'m> {
         self.model
     }
 
-    /// Installs (or removes) a shared cancellation flag: raising it from
-    /// another thread aborts the in-flight query with
-    /// [`UpecOutcome::Unknown`]. Used by the portfolio scheduler to stop
-    /// losing workers.
-    pub fn set_interrupt(&mut self, flag: Option<Arc<AtomicBool>>) {
-        self.unrolling.set_interrupt(flag);
-    }
-
     /// Replaces the deterministic per-query resource budget (conflicts /
     /// propagations / decisions; see [`sat::Budget`]). The budget covers each
     /// subsequent [`IncrementalSession::check_bound`] call as a whole; an
@@ -166,8 +157,7 @@ impl<'m> IncrementalSession<'m> {
 
     /// Installs (or removes) a cooperative [`sat::CancelToken`]: raising it
     /// aborts the in-flight query with [`UpecOutcome::Unknown`] at the next
-    /// solver restart boundary. Used by the portfolio scheduler to stop
-    /// losing members without poisoning their sessions.
+    /// solver restart boundary; the session stays valid and resumable.
     pub fn set_cancel_token(&mut self, token: Option<sat::CancelToken>) {
         self.unrolling.set_cancel_token(token);
     }

@@ -39,7 +39,7 @@ fn certify_and_check(
     );
 
     // Every decided bound carries a certificate of the right kind; only
-    // Unknown/Cancelled bounds (no verdict) may go without.
+    // Unknown bounds (no verdict) may go without.
     for bound in &result.bounds {
         match (bound.summary.status, &bound.certificate) {
             (BoundStatus::Proven, Some(VerdictCertificate::Proof(cert))) => {
@@ -61,7 +61,7 @@ fn certify_and_check(
                     instance.id()
                 );
             }
-            (BoundStatus::Unknown | BoundStatus::Cancelled, None) => {}
+            (BoundStatus::Unknown, None) => {}
             (status, cert) => panic!(
                 "{}: bound {} has status {status:?} but certificate {:?}",
                 instance.id(),

@@ -29,8 +29,7 @@
 //! * **incremental sessions**: clauses and variables may be added between
 //!   `solve` calls while learned clauses, activities and phases persist;
 //!   retractable obligations via activation literals; per-call effort
-//!   accounting ([`SolverStats::delta_since`]) and a cross-thread interrupt
-//!   hook ([`Solver::set_interrupt`]) for portfolio-style cancellation,
+//!   accounting ([`SolverStats::delta_since`]),
 //! * an **incremental-safe simplification pipeline** ([`Solver::simplify`]):
 //!   failed-literal probing, subsumption, self-subsuming resolution and
 //!   bounded variable elimination between solve calls, kept sound for

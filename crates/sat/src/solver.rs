@@ -75,7 +75,7 @@ pub struct SolverStats {
     /// ([`Solver::set_conflict_limit`]) is not counted here.
     pub budget_exhaustions: u64,
     /// Number of solving episodes stopped by an external cancellation — a
-    /// raised [`CancelToken`] or interrupt flag ([`Solver::set_interrupt`]).
+    /// raised [`CancelToken`].
     pub cancellations: u64,
 }
 
@@ -150,8 +150,7 @@ impl SolverStats {
 /// unchanged, so resuming with the same tiny allotment repeats the same
 /// episode forever. Drivers that resume in a loop must either cap
 /// conflicts (every budgeted episode then makes learning progress) or grow
-/// their slices geometrically, as the portfolio scheduler in the `upec`
-/// crate does.
+/// their slices geometrically.
 ///
 /// # Examples
 ///
@@ -257,7 +256,7 @@ pub enum StopCause {
     ConflictLimit,
     /// A [`Budget`] cap ([`Solver::set_budget`]) was reached.
     BudgetExhausted,
-    /// An external cancellation: a raised [`CancelToken`] or interrupt flag.
+    /// An external cancellation: a raised [`CancelToken`].
     Cancelled,
 }
 
@@ -332,13 +331,6 @@ pub struct SearchConfig {
     /// flag is consulted by the unrolling layer between bound extensions,
     /// not by `solve` itself.
     pub vivify: bool,
-    /// Base conflict budget of the Luby restart cadence: round `i` of an
-    /// episode runs for `restart_base * luby(i)` conflicts before the
-    /// search restarts (values below 1 are clamped to 1). Smaller bases
-    /// restart more aggressively; the portfolio scheduler in the `upec`
-    /// crate races such a variant ([`SearchConfig::aggressive_restart`])
-    /// against the default cadence.
-    pub restart_base: u64,
 }
 
 impl Default for SearchConfig {
@@ -350,7 +342,6 @@ impl Default for SearchConfig {
             chrono_backtrack: true,
             chrono_threshold: 100,
             vivify: true,
-            restart_base: 128,
         }
     }
 }
@@ -367,22 +358,14 @@ impl SearchConfig {
             chrono_backtrack: false,
             chrono_threshold: 100,
             vivify: false,
-            restart_base: 128,
-        }
-    }
-
-    /// An aggressively-restarting variant of the default configuration: the
-    /// Luby base is quartered, so the search explores many short
-    /// orientations instead of committing to one long prefix. Used as a
-    /// portfolio member — it tends to win on queries where the default
-    /// cadence rides out an unproductive orientation.
-    pub fn aggressive_restart() -> Self {
-        Self {
-            restart_base: 32,
-            ..Self::default()
         }
     }
 }
+
+/// Base conflict budget of the Luby restart cadence: round `i` of an
+/// episode runs for `RESTART_BASE * luby(i)` conflicts before the search
+/// restarts.
+const RESTART_BASE: u64 = 128;
 
 /// Share ceiling marking a clause whose derivation left the shareable
 /// (transition-definitional) fragment; such clauses are never exported.
@@ -496,7 +479,6 @@ pub struct Solver {
     pub(crate) ok: bool,
     pub(crate) stats: SolverStats,
     conflict_limit: Option<u64>,
-    interrupt: Option<Arc<AtomicBool>>,
     /// Deterministic per-episode resource budget (see [`Solver::set_budget`]).
     budget: Budget,
     /// External cancellation token polled at restart boundaries (see
@@ -614,7 +596,6 @@ impl Solver {
             ok: true,
             stats: SolverStats::default(),
             conflict_limit: None,
-            interrupt: None,
             budget: Budget::default(),
             cancel: None,
             episode: SolverStats::default(),
@@ -753,30 +734,6 @@ impl Solver {
         self.conflict_limit = limit;
     }
 
-    /// Installs a shared interrupt flag checked at the same place as the
-    /// conflict limit (once per conflict). When another thread raises the
-    /// flag, the current `solve` call winds down and returns
-    /// [`SatResult::Unknown`]; the solver state stays valid and later calls
-    /// (after the flag is cleared) work normally.
-    ///
-    /// This is the cancellation hook the portfolio scheduler in the `upec`
-    /// crate uses to stop losing solver configurations as soon as a winner
-    /// produces a definitive answer.
-    pub fn set_interrupt(&mut self, flag: Option<Arc<AtomicBool>>) {
-        self.interrupt = flag;
-    }
-
-    /// Whether an installed interrupt flag is currently raised.
-    ///
-    /// Callers that wrap `solve` in their own retry policies (e.g. the
-    /// adaptive simplification trigger in the `bmc` unroller) use this to
-    /// tell a cancellation apart from an exhausted conflict budget.
-    pub fn interrupt_raised(&self) -> bool {
-        self.interrupt
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
-    }
-
     /// Sets the deterministic per-episode resource [`Budget`]. The budget
     /// applies to every subsequent `solve` episode until replaced; an
     /// exhausted episode answers [`SatResult::Unknown`] with
@@ -793,10 +750,8 @@ impl Solver {
 
     /// Installs (or removes, with `None`) an external [`CancelToken`].
     ///
-    /// Unlike the per-conflict interrupt flag ([`Solver::set_interrupt`]),
-    /// the token is polled only at restart boundaries and at episode entry
-    /// — the zero-cost-when-unset hook the portfolio scheduler uses to stop
-    /// losing configurations.
+    /// The token is polled only at restart boundaries and at episode entry,
+    /// so an unset token costs nothing per conflict.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
     }
@@ -2195,7 +2150,7 @@ impl Solver {
         if !self.ok {
             return SatResult::Unsat;
         }
-        if self.interrupt_raised() || self.cancel_requested() {
+        if self.cancel_requested() {
             self.stats.cancellations += 1;
             self.last_stop = Some(StopCause::Cancelled);
             return SatResult::Unknown;
@@ -2207,11 +2162,10 @@ impl Solver {
         }
 
         let mut restart_count = 0u64;
-        let restart_base = self.config.restart_base.max(1);
         let conflict_start = self.stats.conflicts;
 
         loop {
-            let budget = restart_base * Self::luby(restart_count);
+            let budget = RESTART_BASE * Self::luby(restart_count);
             match self.search(budget, assumptions, conflict_start) {
                 SearchOutcome::Sat => {
                     let mut values: Vec<bool> = (0..self.num_vars())
@@ -2356,11 +2310,6 @@ impl Solver {
                         self.last_stop = Some(StopCause::ConflictLimit);
                         return SearchOutcome::LimitReached;
                     }
-                }
-                if self.interrupt_raised() {
-                    self.stats.cancellations += 1;
-                    self.last_stop = Some(StopCause::Cancelled);
-                    return SearchOutcome::LimitReached;
                 }
                 if self.budget_conflict_cap_hit() {
                     self.stats.budget_exhaustions += 1;
@@ -2860,22 +2809,6 @@ mod tests {
             s.debug_validate()
                 .unwrap_or_else(|e| panic!("seed {seed}: poisoned state: {e}"));
         }
-    }
-
-    #[test]
-    fn raised_interrupt_yields_unknown_and_is_recoverable() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-
-        let mut s = pigeonhole(7, 6);
-        let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(Some(flag.clone()));
-        assert!(s.interrupt_raised());
-        assert_eq!(s.solve(), SatResult::Unknown);
-        // Clearing the flag makes the same solver usable again.
-        flag.store(false, Ordering::Relaxed);
-        assert!(!s.interrupt_raised());
-        assert!(s.solve().is_unsat());
     }
 
     #[test]

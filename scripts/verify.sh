@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repository verification: formatting, lints, the tier-1 build/test gate and
-# the release-mode sat/bmc suites.
+# Repository verification: formatting, lints, the tier-1 build/test gate,
+# the release-mode suites of every workspace crate and the bench smoke gates.
 #
 # Usage: scripts/verify.sh [--full]
 #
@@ -37,11 +37,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> sat + bmc suites (release): arena, propagation, search and proof properties"
+echo "==> workspace suites (release): every crate's unit, integration and doc tests"
 # The tier-1 command runs only the umbrella package; this step gates the
-# solver's and the unroller's own suites, including the golden search
-# trajectory that pins every decision of a seeded incremental session.
-cargo test --release -q -p sat -p bmc
+# default suites of every workspace crate (sat, bmc, upec, soc, sim, rtl,
+# obs, bench), including the golden search trajectory that pins every
+# decision of a seeded incremental session.
+cargo test --release -q --workspace
 
 echo "==> bench smoke: solver_stats --smoke (search + simplification verdict agreement, k=1 subset)"
 # Fast gate: the default (adaptive simplification, all search features on),
@@ -76,14 +77,6 @@ echo "==> bench smoke: cert_stats --smoke (certified verdicts re-checked, k=1 su
 # independent checkers. Verdicts must agree with the plain solve path and
 # every certificate must check. Exits non-zero otherwise; writes no JSON.
 cargo run --release -q -p bench --bin cert_stats -- --smoke
-
-echo "==> bench smoke: portfolio_stats --smoke (deterministic portfolio race, k=1 subset)"
-# Fast gate for the budgeted portfolio scheduler (docs/robustness.md): on
-# the smoke subset the portfolio race must reach the same verdict as the
-# single-configuration path, and two races of the same query must be
-# byte-identical (slice schedule, budgets, winner, member stats — no
-# wall-clock anywhere). Exits non-zero on any mismatch; writes no JSON.
-cargo run --release -q -p bench --bin portfolio_stats -- --smoke
 
 if [ "$full" -eq 1 ]; then
   echo "==> full: simplification differential over the whole registry (--ignored, release)"
