@@ -9,6 +9,8 @@
 
 use std::collections::BTreeSet;
 
+use sat::drat::{CheckError, ProofStep};
+use sat::{Lit, ProofLog, Var};
 use soc::{SocConfig, SocVariant};
 use upec::scenarios::{self, Expectation};
 use upec::{
@@ -135,6 +137,66 @@ fn tampered_witness_certificates_are_rejected() {
         .check(&model)
         .expect_err("an unknown pair must be rejected");
     assert!(matches!(err, CertificateError::UnknownPair(_)), "{err}");
+}
+
+#[test]
+fn tampered_proof_certificates_are_rejected() {
+    let instance = scenarios::instance_by_id("secure-uncached").expect("registry id");
+    let engine = UpecEngine::new(EngineOptions::new().with_threads(1).with_max_window(1));
+    let result = engine.check_certified(&instance);
+    let model = instance.build_model();
+    let proof = result
+        .bounds
+        .iter()
+        .filter_map(|b| b.certificate.as_ref())
+        .find_map(|c| match c {
+            VerdictCertificate::Proof(p) if p.window == 1 => Some(p.clone()),
+            _ => None,
+        })
+        .expect("secure-uncached must certify k=1 with a refutation");
+    let events: Vec<(ProofStep, Vec<Lit>)> =
+        proof.proof.events().map(|(s, l)| (s, l.to_vec())).collect();
+    let rebuild = |events: &[(ProofStep, Vec<Lit>)]| {
+        let mut cert = proof.clone();
+        cert.proof = ProofLog::new();
+        for (step, lits) in events {
+            cert.proof.push(*step, lits);
+        }
+        VerdictCertificate::Proof(cert)
+    };
+
+    // Untampered, the refutation checks and needs its last event.
+    match VerdictCertificate::Proof(proof.clone()).check(&model) {
+        Ok(CertificateCheck::Proof(report)) => {
+            assert_eq!(report.refutation_event, Some(events.len() - 1));
+        }
+        other => panic!("pristine proof rejected: {other:?}"),
+    }
+
+    // Without the refuting event nothing is refuted.
+    let err = rebuild(&events[..events.len() - 1])
+        .check(&model)
+        .expect_err("a truncated refutation must be rejected");
+    assert_eq!(err, CertificateError::Proof(CheckError::NoRefutation));
+
+    // A last lemma that is not implied — a unit over a variable no clause
+    // mentions — is rejected.
+    let last_lemma = events
+        .iter()
+        .rposition(|(s, _)| *s == ProofStep::Add)
+        .expect("the k=1 refutation derives lemmas");
+    let unused = events
+        .iter()
+        .flat_map(|(_, lits)| lits.iter().map(|l| l.var().index()))
+        .max()
+        .expect("the proof has literals")
+        + 1;
+    let mut forged = events.clone();
+    forged[last_lemma].1 = vec![Var::from_index(unused).positive()];
+    let err = rebuild(&forged)
+        .check(&model)
+        .expect_err("a lemma that is not implied must be rejected");
+    assert!(matches!(err, CertificateError::Proof(_)), "{err}");
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! `docs/observability.md` must actually come out of `check_bound`, with
 //! correct nesting, close ordering, verdict attribution and counter
 //! placement — including the certificate spans (`sat.proof_log` under the
-//! solve, `cert.check` for the independent re-check). Collected through the
+//! solve, `sat.drat.trim` under the query, `cert.check` for the independent
+//! re-check). Collected through the
 //! in-memory sink; the JSONL wire format of the same records is
 //! golden-tested in the `obs` crate itself.
 //!
@@ -194,6 +195,25 @@ fn traced_query_produces_the_documented_span_tree() {
     assert!(u64_attr(proof_log, "events").is_some());
     assert!(u64_attr(proof_log, "axioms").is_some());
     assert!(u64_attr(proof_log, "size_bytes").is_some());
+
+    // Trimming: a child of the query, sized like the log it trimmed and the
+    // certificate it kept.
+    let trim = spans
+        .iter()
+        .find(|s| s.name == "sat.drat.trim")
+        .expect("trim span recorded for a proven certified query");
+    assert_eq!(trim.parent, Some(root.id), "trimming is part of the query");
+    let upec::VerdictCertificate::Proof(proof) = &certificate else {
+        panic!("cache-footprint k=1 is proven");
+    };
+    assert_eq!(
+        u64_attr(trim, "kept"),
+        Some(proof.proof.num_events() as u64)
+    );
+    assert!(u64_attr(trim, "events") >= u64_attr(trim, "kept"));
+    for key in ["rup_checks", "deletions_applied", "propagations"] {
+        assert!(u64_attr(trim, key).is_some(), "trim span lacks `{key}`");
+    }
 
     // Certificate checking: an independent root span carrying the
     // certificate's kind, window and size.

@@ -242,128 +242,233 @@ impl std::error::Error for CheckError {}
 const NO_REASON: u32 = u32::MAX;
 /// Clause-origin marker for assumption units (not tied to a log event).
 const ASSUMPTION_EVENT: u32 = u32::MAX;
+/// Marks an event that stored or removed no clause, and ends a chain of the
+/// deletion index.
+const NO_CLAUSE: u32 = u32::MAX;
+/// Tag bit of a [`Watcher`] whose clause has exactly two literals.
+const BINARY: u32 = 1 << 31;
 
-struct CClause {
-    lits: Vec<Lit>,
-    alive: bool,
-    /// Index of the log event that introduced the clause, or
-    /// [`ASSUMPTION_EVENT`] for assumption units.
-    event: u32,
-    used_as_reason: bool,
+/// One entry of a literal's watch list.
+#[derive(Clone, Copy)]
+struct Watcher {
+    /// Clause id, with [`BINARY`] set for two-literal clauses.
+    cref: u32,
+    /// A literal of the clause that is tested before the clause is read:
+    /// while it is true the clause is satisfied and the watcher stays put.
+    /// For a binary clause it is the other literal, so the clause propagates
+    /// or conflicts without touching the literal pool.
+    blocker: Lit,
 }
 
 /// Outcome of inserting a clause into the checker database.
 enum Insert {
     Ok,
-    /// Root-level conflict: the formula so far is refuted. Carries the clause
-    /// ids involved when dependency tracking is on.
-    Refuted(Vec<u32>),
+    /// Root-level conflict: the formula so far is refuted. Under dependency
+    /// tracking the clauses involved are left in `Checker::deps`.
+    Refuted,
+}
+
+/// Finds the stored clause a deletion event names. Built only for logs that
+/// contain deletions.
+struct DeletionIndex {
+    /// FNV signature of a clause's sorted literal codes → the newest stored
+    /// clause with that signature.
+    heads: HashMap<u64, u32>,
+    /// Per clause: the next older clause with the same signature, or
+    /// [`NO_CLAUSE`]. Dead clauses stay chained and are skipped.
+    next: Vec<u32>,
 }
 
 struct Checker {
-    clauses: Vec<CClause>,
-    watches: Vec<Vec<u32>>,
-    assigns: Vec<LBool>,
+    /// Literals of every stored clause, back to back.
+    pool: Vec<Lit>,
+    /// Per clause: offset and length of its literals in `pool`.
+    spans: Vec<(u32, u32)>,
+    /// Per clause: neither deleted nor retracted.
+    alive: Vec<bool>,
+    /// Per clause: the log event that stored it, or [`ASSUMPTION_EVENT`].
+    event: Vec<u32>,
+    /// Per clause: bit `i` is set once the watcher on literal `i` was dropped
+    /// lazily while the clause was dead, so [`Checker::revive`] can re-attach
+    /// exactly the missing watchers.
+    dropped: Vec<u8>,
+    /// Literal-code-indexed watch lists: a clause sits in the lists of its
+    /// first two literals.
+    watches: Vec<Vec<Watcher>>,
+    /// Literal-code-indexed truth values.
+    values: Vec<LBool>,
+    /// Per variable: the clause that propagated it, or [`NO_REASON`].
     reason: Vec<u32>,
     trail: Vec<Lit>,
     qhead: usize,
-    index: HashMap<u64, Vec<u32>>,
-    seen: Vec<bool>,
+    index: Option<DeletionIndex>,
     track_deps: bool,
+    /// Clauses behind the last conflict or RUP check (under `track_deps`).
+    deps: Vec<u32>,
+    // Scratch buffers reused across events.
+    seen: Vec<bool>,
+    stack: Vec<usize>,
+    visited: Vec<usize>,
+    codes: Vec<u32>,
     propagations: u64,
 }
 
-fn lit_value(assigns: &[LBool], l: Lit) -> LBool {
-    let v = assigns[l.var().index()];
-    if l.is_positive() {
-        v
-    } else {
-        v.negate()
-    }
-}
-
-fn clause_signature(sorted_codes: &[usize]) -> u64 {
+fn clause_signature(sorted_codes: &[u32]) -> u64 {
     // FNV-1a over the sorted literal codes.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &c in sorted_codes {
-        h ^= c as u64;
+        h ^= u64::from(c);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
 
-fn sorted_codes(lits: &[Lit]) -> Vec<usize> {
-    let mut codes: Vec<usize> = lits.iter().map(|l| l.code()).collect();
+/// Fills `codes` with the sorted, deduplicated literal codes of `lits` and
+/// returns their signature.
+fn sorted_signature(codes: &mut Vec<u32>, lits: &[Lit]) -> u64 {
+    codes.clear();
+    codes.extend(lits.iter().map(|l| l.0));
     codes.sort_unstable();
     codes.dedup();
-    codes
+    clause_signature(codes)
+}
+
+/// Pool range of a clause's `(start, len)`.
+fn pool_range((start, len): (u32, u32)) -> std::ops::Range<usize> {
+    start as usize..(start + len) as usize
 }
 
 impl Checker {
-    fn new(num_vars: usize, track_deps: bool) -> Self {
+    fn new(num_vars: usize, track_deps: bool, with_index: bool) -> Self {
         Checker {
-            clauses: Vec::new(),
+            pool: Vec::new(),
+            spans: Vec::new(),
+            alive: Vec::new(),
+            event: Vec::new(),
+            dropped: Vec::new(),
             watches: vec![Vec::new(); 2 * num_vars],
-            assigns: vec![LBool::Undef; num_vars],
+            values: vec![LBool::Undef; 2 * num_vars],
             reason: vec![NO_REASON; num_vars],
             trail: Vec::new(),
             qhead: 0,
-            index: HashMap::new(),
-            seen: vec![false; num_vars],
+            index: with_index.then(|| DeletionIndex {
+                heads: HashMap::new(),
+                next: Vec::new(),
+            }),
             track_deps,
+            deps: Vec::new(),
+            seen: vec![false; if track_deps { num_vars } else { 0 }],
+            stack: Vec::new(),
+            visited: Vec::new(),
+            codes: Vec::new(),
             propagations: 0,
         }
     }
 
+    fn lits(&self, cid: u32) -> &[Lit] {
+        &self.pool[pool_range(self.spans[cid as usize])]
+    }
+
+    fn value(&self, l: Lit) -> LBool {
+        self.values[l.code()]
+    }
+
     fn enqueue(&mut self, l: Lit, reason: u32) {
-        self.assigns[l.var().index()] = LBool::from_bool(l.is_positive());
+        self.values[l.code()] = LBool::True;
+        self.values[(!l).code()] = LBool::False;
         self.reason[l.var().index()] = reason;
         self.trail.push(l);
-        if reason != NO_REASON {
-            self.clauses[reason as usize].used_as_reason = true;
+    }
+
+    /// Pops the trail back to `len` assignments, un-assigning everything
+    /// above it. Callers only unwind to fully propagated states.
+    fn unwind_to(&mut self, len: usize) {
+        for &l in &self.trail[len..] {
+            self.values[l.code()] = LBool::Undef;
+            self.values[(!l).code()] = LBool::Undef;
+            self.reason[l.var().index()] = NO_REASON;
         }
+        self.trail.truncate(len);
+        self.qhead = len;
+    }
+
+    /// Whether the clause is the reason of a root assignment (MiniSat's
+    /// locked test). Only a watched literal can have been propagated by the
+    /// clause: the first one of a long clause, either one of a binary clause.
+    fn is_reason(&self, cid: u32) -> bool {
+        self.lits(cid)[..2]
+            .iter()
+            .any(|l| self.reason[l.var().index()] == cid)
     }
 
     /// Propagates to fixpoint; returns the conflicting clause id if any.
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
+            let false_lit = !self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
-            let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
-            let mut i = 0;
+            let (mut i, mut j) = (0, 0);
             let mut conflict = None;
             'watchers: while i < ws.len() {
-                let cid = ws[i] as usize;
-                if !self.clauses[cid].alive {
-                    ws.swap_remove(i);
+                let w = ws[i];
+                i += 1;
+                if self.values[w.blocker.code()] == LBool::True {
+                    ws[j] = w;
+                    j += 1;
                     continue;
                 }
-                if self.clauses[cid].lits[0] == false_lit {
-                    self.clauses[cid].lits.swap(0, 1);
-                }
-                let first = self.clauses[cid].lits[0];
-                if lit_value(&self.assigns, first) == LBool::True {
-                    i += 1;
+                let cid = w.cref & !BINARY;
+                if !self.alive[cid as usize] {
+                    // Dead: drop the watcher lazily, remembering which one.
+                    let bit = if self.lits(cid)[0] == false_lit { 1 } else { 2 };
+                    self.dropped[cid as usize] |= bit;
                     continue;
                 }
-                for k in 2..self.clauses[cid].lits.len() {
-                    let cand = self.clauses[cid].lits[k];
-                    if lit_value(&self.assigns, cand) != LBool::False {
-                        self.clauses[cid].lits.swap(1, k);
-                        self.watches[cand.code()].push(cid as u32);
-                        ws.swap_remove(i);
+                if w.cref & BINARY != 0 {
+                    ws[j] = w;
+                    j += 1;
+                    if self.values[w.blocker.code()] == LBool::False {
+                        conflict = Some(cid);
+                        break;
+                    }
+                    self.enqueue(w.blocker, cid);
+                    continue;
+                }
+                let c = &mut self.pool[pool_range(self.spans[cid as usize])];
+                if c[0] == false_lit {
+                    c.swap(0, 1);
+                }
+                let first = c[0];
+                let kept = Watcher {
+                    cref: cid,
+                    blocker: first,
+                };
+                if first != w.blocker && self.values[first.code()] == LBool::True {
+                    ws[j] = kept;
+                    j += 1;
+                    continue;
+                }
+                for k in 2..c.len() {
+                    let cand = c[k];
+                    if self.values[cand.code()] != LBool::False {
+                        c.swap(1, k);
+                        self.watches[cand.code()].push(kept);
                         continue 'watchers;
                     }
                 }
-                if lit_value(&self.assigns, first) == LBool::False {
-                    conflict = Some(cid as u32);
+                ws[j] = kept;
+                j += 1;
+                if self.values[first.code()] == LBool::False {
+                    conflict = Some(cid);
                     break;
                 }
-                self.enqueue(first, cid as u32);
-                i += 1;
+                self.enqueue(first, cid);
             }
+            // Keep the watchers a conflict left unvisited.
+            let rest = ws.len() - i;
+            ws.copy_within(i.., j);
+            ws.truncate(j + rest);
             self.watches[false_lit.code()] = ws;
             if conflict.is_some() {
                 return conflict;
@@ -372,195 +477,201 @@ impl Checker {
         None
     }
 
-    /// Collects the clause ids reachable through reason chains from `seed_vars`,
-    /// starting from `seed_clause` when given. Only populated under
-    /// `track_deps`.
-    fn collect_deps(&mut self, seed_clause: Option<u32>, seed_vars: &[Lit]) -> Vec<u32> {
+    /// Sets `deps` to clause `cid` plus every clause reachable from its
+    /// literals through reason chains. A no-op unless `track_deps`.
+    fn deps_of_clause(&mut self, cid: u32) {
         if !self.track_deps {
-            return Vec::new();
+            return;
         }
-        let mut deps = Vec::new();
-        let mut stack: Vec<usize> = Vec::new();
-        if let Some(cid) = seed_clause {
-            deps.push(cid);
+        self.deps.clear();
+        self.deps.push(cid);
+        let lits = &self.pool[pool_range(self.spans[cid as usize])];
+        self.stack.extend(lits.iter().map(|l| l.var().index()));
+        self.close_deps();
+    }
+
+    /// Sets `deps` to the clauses behind the root assignment of `l`. A no-op
+    /// unless `track_deps`.
+    fn deps_of_lit(&mut self, l: Lit) {
+        if !self.track_deps {
+            return;
         }
-        for l in seed_vars {
-            stack.push(l.var().index());
-        }
-        let mut visited: Vec<usize> = Vec::new();
-        while let Some(v) = stack.pop() {
+        self.deps.clear();
+        self.stack.push(l.var().index());
+        self.close_deps();
+    }
+
+    /// Follows reason chains from the variables on `stack`, appending every
+    /// reason clause to `deps`.
+    fn close_deps(&mut self) {
+        while let Some(v) = self.stack.pop() {
             if self.seen[v] {
                 continue;
             }
             self.seen[v] = true;
-            visited.push(v);
+            self.visited.push(v);
             let r = self.reason[v];
             if r != NO_REASON {
-                deps.push(r);
-                for l in &self.clauses[r as usize].lits {
-                    stack.push(l.var().index());
-                }
+                self.deps.push(r);
+                let lits = &self.pool[pool_range(self.spans[r as usize])];
+                self.stack.extend(lits.iter().map(|l| l.var().index()));
             }
         }
-        for v in visited {
+        for &v in &self.visited {
             self.seen[v] = false;
         }
-        deps.sort_unstable();
-        deps.dedup();
-        deps
+        self.visited.clear();
+    }
+
+    /// Marks the log events of the clauses in `deps`.
+    fn mark_deps(&self, marked: &mut [bool]) {
+        for &c in &self.deps {
+            let e = self.event[c as usize];
+            if e != ASSUMPTION_EVENT {
+                marked[e as usize] = true;
+            }
+        }
+    }
+
+    /// Appends a clause to the store and returns its id.
+    fn store(&mut self, lits: &[Lit], event: u32) -> u32 {
+        let cid = u32::try_from(self.spans.len()).expect("checker clause count overflow");
+        assert!(cid < BINARY, "checker clause count overflow");
+        let start = u32::try_from(self.pool.len()).expect("checker literal pool overflow");
+        let len = u32::try_from(lits.len()).expect("checker clause too long");
+        self.pool.extend_from_slice(lits);
+        self.spans.push((start, len));
+        self.alive.push(true);
+        self.event.push(event);
+        self.dropped.push(0);
+        if let Some(index) = &mut self.index {
+            index.next.push(NO_CLAUSE);
+        }
+        cid
     }
 
     /// Inserts a clause at root level, propagating any resulting units.
     ///
     /// `lits` must already be deduplicated and tautology-free.
     fn insert(&mut self, lits: &[Lit], event: u32) -> Insert {
-        if lits
-            .iter()
-            .any(|&l| lit_value(&self.assigns, l) == LBool::True)
-        {
-            // Permanently satisfied at root; it can never propagate.
-            return Insert::Ok;
+        // Positions of the first two non-false literals, and their count.
+        let mut open = [0usize; 2];
+        let mut num_open = 0;
+        for (k, &l) in lits.iter().enumerate() {
+            match self.value(l) {
+                // Permanently satisfied at root; it can never propagate.
+                LBool::True => return Insert::Ok,
+                LBool::Undef => {
+                    if num_open < 2 {
+                        open[num_open] = k;
+                    }
+                    num_open += 1;
+                }
+                LBool::False => {}
+            }
         }
-        let cid = u32::try_from(self.clauses.len()).expect("checker clause count overflow");
-        let non_false: Vec<Lit> = lits
-            .iter()
-            .copied()
-            .filter(|&l| lit_value(&self.assigns, l) != LBool::False)
-            .collect();
-        match non_false.len() {
+        let cid = self.store(lits, event);
+        match num_open {
             0 => {
                 // Conflicting at root (also covers the empty clause).
-                self.clauses.push(CClause {
-                    lits: lits.to_vec(),
-                    alive: true,
-                    event,
-                    used_as_reason: false,
-                });
-                let deps = self.collect_deps(Some(cid), lits);
-                Insert::Refuted(deps)
+                self.deps_of_clause(cid);
+                Insert::Refuted
             }
             1 => {
-                let unit = non_false[0];
-                self.clauses.push(CClause {
-                    lits: lits.to_vec(),
-                    alive: true,
-                    event,
-                    used_as_reason: false,
-                });
-                self.enqueue(unit, cid);
+                self.enqueue(lits[open[0]], cid);
                 match self.propagate() {
                     Some(conflict) => {
-                        let seed: Vec<Lit> = self.clauses[conflict as usize].lits.clone();
-                        let deps = self.collect_deps(Some(conflict), &seed);
-                        Insert::Refuted(deps)
+                        self.deps_of_clause(conflict);
+                        Insert::Refuted
                     }
                     None => Insert::Ok,
                 }
             }
             _ => {
-                // Watch two non-false literals.
-                let mut stored = lits.to_vec();
-                let p0 = stored.iter().position(|&l| l == non_false[0]).unwrap();
-                stored.swap(0, p0);
-                let p1 = stored.iter().position(|&l| l == non_false[1]).unwrap();
-                stored.swap(1, p1);
-                let (w0, w1) = (stored[0], stored[1]);
-                self.clauses.push(CClause {
-                    lits: stored,
-                    alive: true,
-                    event,
-                    used_as_reason: false,
-                });
-                self.watches[w0.code()].push(cid);
-                self.watches[w1.code()].push(cid);
-                let codes = sorted_codes(lits);
-                self.index
-                    .entry(clause_signature(&codes))
-                    .or_default()
-                    .push(cid);
+                // Watch the two non-false literals: move them to the front.
+                let start = self.spans[cid as usize].0 as usize;
+                let c = &mut self.pool[start..start + lits.len()];
+                c.swap(0, open[0]);
+                c.swap(1, open[1]);
+                let (w0, w1) = (c[0], c[1]);
+                let cref = if lits.len() == 2 { cid | BINARY } else { cid };
+                self.watches[w0.code()].push(Watcher { cref, blocker: w1 });
+                self.watches[w1.code()].push(Watcher { cref, blocker: w0 });
+                if let Some(index) = &mut self.index {
+                    let sig = sorted_signature(&mut self.codes, lits);
+                    let older = index.heads.insert(sig, cid).unwrap_or(NO_CLAUSE);
+                    index.next[cid as usize] = older;
+                }
                 Insert::Ok
             }
         }
     }
 
-    /// RUP check of `lits` against the current database. On success returns the
-    /// clause ids used (under `track_deps`); on failure returns `None`.
-    fn check_rup(&mut self, lits: &[Lit]) -> Option<Vec<u32>> {
+    /// RUP check of `lits` against the current database; on success the
+    /// clauses used are left in `deps` (under `track_deps`).
+    fn check_rup(&mut self, lits: &[Lit]) -> bool {
         // A lemma with a root-satisfied literal is trivially implied.
-        for &l in lits {
-            if lit_value(&self.assigns, l) == LBool::True {
-                let deps = self.collect_deps(None, &[l]);
-                return Some(deps);
-            }
+        if let Some(&l) = lits.iter().find(|&&l| self.value(l) == LBool::True) {
+            self.deps_of_lit(l);
+            return true;
         }
         let saved = self.trail.len();
         debug_assert_eq!(self.qhead, saved);
         for &l in lits {
-            if lit_value(&self.assigns, l) == LBool::Undef {
-                let neg = !l;
-                self.assigns[neg.var().index()] = LBool::from_bool(neg.is_positive());
-                self.trail.push(neg);
+            if self.value(l) == LBool::Undef {
+                // A temporary assumption: no reason, undone below.
+                self.values[l.code()] = LBool::False;
+                self.values[(!l).code()] = LBool::True;
+                self.trail.push(!l);
             }
         }
         let conflict = self.propagate();
-        let result = conflict.map(|c| {
-            let seed: Vec<Lit> = self.clauses[c as usize].lits.clone();
-            self.collect_deps(Some(c), &seed)
-        });
-        // Undo all temporary assignments.
-        for i in saved..self.trail.len() {
-            let v = self.trail[i].var().index();
-            self.assigns[v] = LBool::Undef;
-            self.reason[v] = NO_REASON;
+        if let Some(c) = conflict {
+            self.deps_of_clause(c);
         }
-        self.trail.truncate(saved);
-        self.qhead = saved;
-        result
+        self.unwind_to(saved);
+        conflict.is_some()
     }
 
-    /// Pops the root trail back to `len` assignments, un-assigning everything
-    /// above it. Only used by the backward dependency sweep, where the trail
-    /// is always fully propagated (`qhead == trail.len()`) between events.
-    fn unwind_to(&mut self, len: usize) {
-        while self.trail.len() > len {
-            let v = self
-                .trail
-                .pop()
-                .expect("trail above target length")
-                .var()
-                .index();
-            self.assigns[v] = LBool::Undef;
-            self.reason[v] = NO_REASON;
+    /// Handles a deletion event: marks the newest live, unlocked clause with
+    /// the same literal set dead and returns it. Unit, unmatched and
+    /// reason-locked deletions are ignored (sound: keeping implied clauses
+    /// only strengthens propagation).
+    fn delete(&mut self, lits: &[Lit]) -> Option<u32> {
+        let index = self.index.as_ref()?;
+        let sig = sorted_signature(&mut self.codes, lits);
+        if self.codes.len() <= 1 {
+            return None;
         }
-        self.qhead = len;
+        let mut cid = *index.heads.get(&sig)?;
+        while cid != NO_CLAUSE {
+            let c = self.lits(cid);
+            let same = c.len() == self.codes.len()
+                && c.iter().all(|l| self.codes.binary_search(&l.0).is_ok());
+            if same && self.alive[cid as usize] && !self.is_reason(cid) {
+                self.alive[cid as usize] = false;
+                return Some(cid);
+            }
+            cid = index.next[cid as usize];
+        }
+        None
     }
 
-    /// Handles a deletion event: marks the first matching deletable clause
-    /// dead. Unmatched or reason-locked deletions are ignored (sound: keeping
-    /// implied clauses only strengthens propagation).
-    fn delete(&mut self, lits: &[Lit]) {
-        let codes = sorted_codes(lits);
-        if codes.len() <= 1 {
-            return;
+    /// Brings a deleted clause back, re-attaching the watchers dropped while
+    /// it was dead. Only called by the backward sweep at the state the
+    /// clause was deleted in, where its literal order is still the one it
+    /// was deleted with, so both watches are valid again.
+    fn revive(&mut self, cid: u32) {
+        self.alive[cid as usize] = true;
+        let dropped = std::mem::take(&mut self.dropped[cid as usize]);
+        let lits = self.lits(cid);
+        let (w0, w1) = (lits[0], lits[1]);
+        let cref = if lits.len() == 2 { cid | BINARY } else { cid };
+        if dropped & 1 != 0 {
+            self.watches[w0.code()].push(Watcher { cref, blocker: w1 });
         }
-        let sig = clause_signature(&codes);
-        let Some(candidates) = self.index.get_mut(&sig) else {
-            return;
-        };
-        let mut chosen = None;
-        for (pos, &cid) in candidates.iter().enumerate() {
-            let c = &self.clauses[cid as usize];
-            if !c.alive || c.used_as_reason {
-                continue;
-            }
-            if sorted_codes(&c.lits) == codes {
-                chosen = Some((pos, cid));
-                break;
-            }
-        }
-        if let Some((pos, cid)) = chosen {
-            candidates.swap_remove(pos);
-            self.clauses[cid as usize].alive = false;
+        if dropped & 2 != 0 {
+            self.watches[w1.code()].push(Watcher { cref, blocker: w0 });
         }
     }
 }
@@ -596,60 +707,57 @@ fn max_var_index(log: &ProofLog, assumptions: &[Lit]) -> usize {
     n
 }
 
+fn event_id(i: usize) -> u32 {
+    u32::try_from(i).expect("proof log event index overflow")
+}
+
+/// Inserts the assumption literals as unit clauses — the certificate claims
+/// "axioms AND assumptions" is unsatisfiable. Returns `true` when the
+/// assumptions alone are contradictory.
+fn assume(checker: &mut Checker, assumptions: &[Lit]) -> bool {
+    for (k, &a) in assumptions.iter().enumerate() {
+        if assumptions[..k].contains(&a) {
+            continue;
+        }
+        if let Insert::Refuted = checker.insert(&[a], ASSUMPTION_EVENT) {
+            return true;
+        }
+    }
+    false
+}
+
 fn run_check(log: &ProofLog, assumptions: &[Lit]) -> Result<CheckReport, CheckError> {
     let num_vars = max_var_index(log, assumptions);
-    let mut checker = Checker::new(num_vars, false);
+    let mut checker = Checker::new(num_vars, false, log.num_deletions() > 0);
     let mut report = CheckReport::default();
-    let mut refuted: Option<Option<usize>> = None;
-
-    // Assumption literals become unit clauses: the certificate claims
-    // "axioms AND assumptions" is unsatisfiable.
-    'outer: {
-        let mut seen_assumptions: Vec<Lit> = Vec::new();
-        for &a in assumptions {
-            if seen_assumptions.contains(&a) {
+    let mut refuted: Option<Option<usize>> = assume(&mut checker, assumptions).then_some(None);
+    let mut lits = Vec::new();
+    for i in 0..log.num_events() {
+        if refuted.is_some() {
+            break;
+        }
+        let step = log.events[i].step;
+        match step {
+            ProofStep::Delete => {
+                report.deletions += 1;
+                checker.delete(log.event_lits(i));
                 continue;
             }
-            seen_assumptions.push(a);
-            if let Insert::Refuted(_) = checker.insert(&[a], ASSUMPTION_EVENT) {
-                refuted = Some(None);
-                break 'outer;
-            }
+            ProofStep::Axiom => report.axioms += 1,
+            ProofStep::Add => report.lemmas_checked += 1,
         }
-        for i in 0..log.num_events() {
-            let step = log.events[i].step;
-            let mut lits = log.event_lits(i).to_vec();
-            match step {
-                ProofStep::Axiom | ProofStep::Add => {
-                    if dedup_clause(&mut lits) {
-                        // Tautologies are valid and inert; skip them.
-                        if step == ProofStep::Axiom {
-                            report.axioms += 1;
-                        } else {
-                            report.lemmas_checked += 1;
-                        }
-                        continue;
-                    }
-                    if step == ProofStep::Add {
-                        report.lemmas_checked += 1;
-                        if checker.check_rup(&lits).is_none() {
-                            return Err(CheckError::NotRup { event: i });
-                        }
-                    } else {
-                        report.axioms += 1;
-                    }
-                    let event = u32::try_from(i).expect("proof log event index overflow");
-                    if let Insert::Refuted(_) = checker.insert(&lits, event) {
-                        refuted = Some(Some(i));
-                        report.skipped_events = log.num_events() - i - 1;
-                        break 'outer;
-                    }
-                }
-                ProofStep::Delete => {
-                    report.deletions += 1;
-                    checker.delete(&lits);
-                }
-            }
+        lits.clear();
+        lits.extend_from_slice(log.event_lits(i));
+        if dedup_clause(&mut lits) {
+            // Tautologies are valid and inert; skip them.
+            continue;
+        }
+        if step == ProofStep::Add && !checker.check_rup(&lits) {
+            return Err(CheckError::NotRup { event: i });
+        }
+        if let Insert::Refuted = checker.insert(&lits, event_id(i)) {
+            refuted = Some(Some(i));
+            report.skipped_events = log.num_events() - i - 1;
         }
     }
 
@@ -663,102 +771,108 @@ fn run_check(log: &ProofLog, assumptions: &[Lit]) -> Result<CheckReport, CheckEr
     }
 }
 
+/// What the backward checking of [`mark_dependencies`] found and spent.
+struct Marking {
+    /// Per event: whether the refutation transitively depends on it.
+    marked: Vec<bool>,
+    /// The refutation event, `None` when the assumptions alone were
+    /// contradictory.
+    refutation_event: Option<usize>,
+    rup_checks: u64,
+    deletions_applied: u64,
+    propagations: u64,
+}
+
 /// Marks the events the refutation transitively depends on (backward
-/// checking): a forward pass *inserts* every clause without RUP-checking it
-/// and finds the refutation, then a backward sweep unwinds the database event
-/// by event and RUP-checks only the lemmas that are already marked as
-/// dependencies, marking their own dependencies in turn. Lemmas and axioms
-/// the refutation never touches are neither checked nor kept.
+/// checking, as in DRAT-trim).
 ///
-/// Deletion events are ignored here: keeping extra implied clauses only
-/// strengthens propagation, and the trimmed output drops deletions anyway.
-///
-/// Returns the marked-event bitmap and the refutation event (`None` when the
-/// assumptions alone were contradictory).
-fn mark_dependencies(
-    log: &ProofLog,
-    assumptions: &[Lit],
-) -> Result<(Vec<bool>, Option<usize>), CheckError> {
+/// The forward pass *inserts* every clause without RUP-checking it and
+/// applies deletions exactly as [`check`] does — reason-locked clauses are
+/// kept — recording which clause each event stored or deleted and the trail
+/// height before it. The backward sweep then walks the events in reverse,
+/// restoring the database and trail each event saw: it unwinds the trail,
+/// retracts the clause an event stored (a lemma must not justify itself) and
+/// revives the clause a deletion removed. A lemma is RUP-checked, against the
+/// clauses live at its own event, only if something later depends on it;
+/// its own dependencies are marked in turn. Lemmas and axioms the refutation
+/// never touches are neither checked nor kept.
+fn mark_dependencies(log: &ProofLog, assumptions: &[Lit]) -> Result<Marking, CheckError> {
     let num_events = log.num_events();
     let num_vars = max_var_index(log, assumptions);
-    let mut checker = Checker::new(num_vars, true);
-    // Clause each event inserted (inert events insert none) and the trail
-    // height before it, so the backward sweep can restore the exact database
-    // and propagation state every event was inserted into.
-    let mut event_clause: Vec<Option<u32>> = vec![None; num_events];
-    let mut trail_before: Vec<usize> = vec![0; num_events];
-    let mut refuted: Option<(Option<usize>, Vec<u32>)> = None;
-
-    'outer: {
-        let mut seen_assumptions: Vec<Lit> = Vec::new();
-        for &a in assumptions {
-            if seen_assumptions.contains(&a) {
-                continue;
-            }
-            seen_assumptions.push(a);
-            if let Insert::Refuted(deps) = checker.insert(&[a], ASSUMPTION_EVENT) {
-                refuted = Some((None, deps));
-                break 'outer;
-            }
+    let mut checker = Checker::new(num_vars, true, log.num_deletions() > 0);
+    let mut event_clause = vec![NO_CLAUSE; num_events];
+    let mut trail_before = vec![0u32; num_events];
+    let mut marked = vec![false; num_events];
+    let mut deletions_applied = 0;
+    let mut refuted: Option<Option<usize>> = assume(&mut checker, assumptions).then_some(None);
+    let mut lits = Vec::new();
+    for i in 0..num_events {
+        if refuted.is_some() {
+            break;
         }
-        for i in 0..num_events {
-            trail_before[i] = checker.trail.len();
-            if log.events[i].step == ProofStep::Delete {
-                continue;
+        trail_before[i] = u32::try_from(checker.trail.len()).expect("trail overflow");
+        if log.events[i].step == ProofStep::Delete {
+            if let Some(cid) = checker.delete(log.event_lits(i)) {
+                event_clause[i] = cid;
+                deletions_applied += 1;
             }
-            let mut lits = log.event_lits(i).to_vec();
-            if dedup_clause(&mut lits) {
-                continue;
-            }
-            let clauses_before = checker.clauses.len();
-            let event = u32::try_from(i).expect("proof log event index overflow");
-            let inserted = checker.insert(&lits, event);
-            if checker.clauses.len() > clauses_before {
-                event_clause[i] = Some(clauses_before as u32);
-            }
-            if let Insert::Refuted(deps) = inserted {
-                refuted = Some((Some(i), deps));
-                break 'outer;
-            }
+            continue;
+        }
+        lits.clear();
+        lits.extend_from_slice(log.event_lits(i));
+        if dedup_clause(&mut lits) {
+            continue;
+        }
+        let clauses_before = checker.spans.len();
+        let inserted = checker.insert(&lits, event_id(i));
+        if checker.spans.len() > clauses_before {
+            // `store` bounds clause ids below `BINARY`.
+            event_clause[i] = clauses_before as u32;
+        }
+        if let Insert::Refuted = inserted {
+            refuted = Some(Some(i));
         }
     }
 
-    let Some((refutation_event, dep_clauses)) = refuted else {
+    let Some(refutation_event) = refuted else {
         return Err(CheckError::NoRefutation);
     };
-    let mut marked = vec![false; num_events];
-    let mark_clause_events = |checker: &Checker, marked: &mut Vec<bool>, deps: &[u32]| {
-        for &c in deps {
-            let e = checker.clauses[c as usize].event;
-            if e != ASSUMPTION_EVENT {
-                marked[e as usize] = true;
-            }
-        }
-    };
-    mark_clause_events(&checker, &mut marked, &dep_clauses);
+    checker.mark_deps(&mut marked);
+    let mut rup_checks = 0;
     if let Some(re) = refutation_event {
         marked[re] = true;
-        // Backward sweep: restore the pre-event state, retract the event's
-        // clause (a lemma must not justify itself), and RUP-check it only if
-        // something later depends on it.
         for i in (0..=re).rev() {
-            checker.unwind_to(trail_before[i]);
-            if let Some(cid) = event_clause[i] {
-                checker.clauses[cid as usize].alive = false;
+            checker.unwind_to(trail_before[i] as usize);
+            let step = log.events[i].step;
+            let cid = event_clause[i];
+            if cid != NO_CLAUSE {
+                if step == ProofStep::Delete {
+                    checker.revive(cid);
+                } else {
+                    checker.alive[cid as usize] = false;
+                }
             }
-            if marked[i] && log.events[i].step == ProofStep::Add {
-                let mut lits = log.event_lits(i).to_vec();
+            if marked[i] && step == ProofStep::Add {
+                lits.clear();
+                lits.extend_from_slice(log.event_lits(i));
                 if dedup_clause(&mut lits) {
                     continue;
                 }
-                match checker.check_rup(&lits) {
-                    Some(deps) => mark_clause_events(&checker, &mut marked, &deps),
-                    None => return Err(CheckError::NotRup { event: i }),
+                rup_checks += 1;
+                if !checker.check_rup(&lits) {
+                    return Err(CheckError::NotRup { event: i });
                 }
+                checker.mark_deps(&mut marked);
             }
         }
     }
-    Ok((marked, refutation_event))
+    Ok(Marking {
+        marked,
+        refutation_event,
+        rup_checks,
+        deletions_applied,
+        propagations: checker.propagations,
+    })
 }
 
 /// Verifies a proof log: every lemma must be a RUP consequence of the events
@@ -794,37 +908,42 @@ pub fn check(log: &ProofLog, assumptions: &[Lit]) -> Result<CheckReport, CheckEr
 /// checking the trimmed log.
 ///
 /// Trimming uses *backward checking*: a forward pass inserts every clause
-/// without RUP-checking it and locates the refutation, then a backward sweep
-/// RUP-checks exactly the lemmas in the refutation's dependency cone. Both
+/// without RUP-checking it, applies deletions and locates the refutation,
+/// then a backward sweep RUP-checks exactly the lemmas in the refutation's
+/// dependency cone, each against the clauses live at its own event. Both
 /// unused lemmas *and unused axioms* are dropped — the kept axioms are an
 /// unsatisfiable core, and a core being unsatisfiable implies the full axiom
 /// set is. This makes trimming much cheaper than [`check`] on logs where the
 /// refutation touches a small fraction of the events, and it shrinks proof
-/// certificates by orders of magnitude.
+/// certificates by orders of magnitude. The trimmed log keeps no deletions.
 ///
 /// The trimmed log is re-verified with [`check`] under the same assumptions
 /// before being returned, so a successful `trim` *is* a successful check:
 /// the returned report is the trimmed log's. Note that an unused corrupt
 /// lemma is dropped rather than rejected; run [`check`] on the full log when
 /// the goal is to validate every event.
+///
+/// The call is wrapped in a `sat.drat.trim` telemetry span carrying the
+/// log's `events`, the `kept` events, the backward sweep's `rup_checks`, the
+/// `deletions_applied` by the forward pass, and the checker `propagations`
+/// of the forward pass, the sweep and the re-check.
 pub fn trim(log: &ProofLog, assumptions: &[Lit]) -> Result<(ProofLog, CheckReport), CheckError> {
-    let (marked, refutation_event) = mark_dependencies(log, assumptions)?;
+    let mut span = obs::span("sat.drat.trim");
+    span.attr_u64("events", log.num_events() as u64);
+    let marking = mark_dependencies(log, assumptions)?;
+    span.attr_u64("rup_checks", marking.rup_checks);
+    span.attr_u64("deletions_applied", marking.deletions_applied);
     let mut trimmed = ProofLog::new();
-    let last = refutation_event.unwrap_or(0);
-    for (i, keep) in marked.iter().enumerate() {
-        if refutation_event.is_some() && i > last {
-            break;
-        }
-        if *keep {
-            match log.events[i].step {
-                step @ (ProofStep::Axiom | ProofStep::Add) => {
-                    trimmed.push(step, log.event_lits(i));
-                }
-                ProofStep::Delete => {}
-            }
+    let end = marking.refutation_event.map_or(0, |re| re + 1);
+    for i in 0..end {
+        let step = log.events[i].step;
+        if marking.marked[i] && step != ProofStep::Delete {
+            trimmed.push(step, log.event_lits(i));
         }
     }
+    span.attr_u64("kept", trimmed.num_events() as u64);
     let report = run_check(&trimmed, assumptions)?;
+    span.attr_u64("propagations", marking.propagations + report.propagations);
     Ok((trimmed, report))
 }
 
@@ -924,6 +1043,122 @@ mod tests {
         let report = check(&log, &[]).unwrap();
         assert_eq!(report.deletions, 1);
         assert_eq!(report.refutation_event, Some(6));
+    }
+
+    /// `a`..`f` as positive literals over variables 0..6.
+    fn vars6() -> [Lit; 6] {
+        [0, 1, 2, 3, 4, 5].map(|i| lit(i, true))
+    }
+
+    #[test]
+    fn lemma_needing_a_clause_deleted_before_it_is_rejected() {
+        let [x, y, ..] = vars6();
+        let mut log = ProofLog::new();
+        log.push(ProofStep::Axiom, &[x, y]);
+        log.push(ProofStep::Axiom, &[x, !y]);
+        log.push(ProofStep::Axiom, &[!x, y]);
+        log.push(ProofStep::Axiom, &[!x, !y]);
+        // `x` is RUP only through [x, !y], which is gone by then.
+        log.push(ProofStep::Delete, &[!y, x]);
+        log.push(ProofStep::Add, &[x]);
+        assert_eq!(check(&log, &[]), Err(CheckError::NotRup { event: 5 }));
+        assert_eq!(
+            trim(&log, &[]).map(|_| ()),
+            Err(CheckError::NotRup { event: 5 })
+        );
+    }
+
+    #[test]
+    fn clause_deleted_after_the_lemma_that_needs_it_is_kept() {
+        let [x, y, u, v, ..] = vars6();
+        let mut log = ProofLog::new();
+        log.push(ProofStep::Axiom, &[x, y]);
+        log.push(ProofStep::Axiom, &[x, !y]);
+        // Under x these four are the full 2-variable contradiction over u, v,
+        // which unit propagation alone does not refute.
+        log.push(ProofStep::Axiom, &[!x, u, v]);
+        log.push(ProofStep::Axiom, &[!x, u, !v]);
+        log.push(ProofStep::Axiom, &[!x, !u, v]);
+        log.push(ProofStep::Axiom, &[!x, !u, !v]);
+        log.push(ProofStep::Add, &[x]);
+        log.push(ProofStep::Delete, &[x, !y]);
+        log.push(ProofStep::Add, &[u]);
+        let report = check(&log, &[]).unwrap();
+        assert_eq!(report.refutation_event, Some(8));
+        let (trimmed, _) = trim(&log, &[]).unwrap();
+        let kept: Vec<(ProofStep, Vec<Lit>)> =
+            trimmed.events().map(|(s, l)| (s, l.to_vec())).collect();
+        assert!(
+            kept.contains(&(ProofStep::Axiom, vec![x, !y])),
+            "the lemma x needs [x, !y], live at its event: {kept:?}"
+        );
+        assert_eq!(trimmed.num_lemmas(), 2);
+        assert_eq!(trimmed.num_deletions(), 0);
+    }
+
+    /// The log of the re-attachment tests: `[a, b]` is deleted after the
+    /// lemma `x` that needs it, then the root units `!a` and `!b` visit both
+    /// of its watchers while it is dead, which drops them.
+    fn reattach_log() -> ProofLog {
+        let [a, b, x, ..] = vars6();
+        let mut log = ProofLog::new();
+        log.push(ProofStep::Axiom, &[a, b]);
+        log.push(ProofStep::Axiom, &[!a, x]);
+        log.push(ProofStep::Axiom, &[!b, x]);
+        log.push(ProofStep::Add, &[x]);
+        log.push(ProofStep::Delete, &[a, b]);
+        log.push(ProofStep::Axiom, &[!a]);
+        log.push(ProofStep::Axiom, &[!b]);
+        log.push(ProofStep::Axiom, &[!x]);
+        log
+    }
+
+    #[test]
+    fn dead_clause_loses_its_watchers_and_revival_reattaches_them() {
+        let [a, b, ..] = vars6();
+        let log = reattach_log();
+        let mut checker = Checker::new(3, true, true);
+        for i in [0, 1, 2, 3, 5, 6] {
+            if i == 5 {
+                assert_eq!(checker.delete(log.event_lits(4)), Some(0));
+            }
+            assert!(matches!(
+                checker.insert(log.event_lits(i), i as u32),
+                Insert::Ok
+            ));
+        }
+        assert_eq!(checker.dropped[0], 0b11, "both watchers of [a, b] dropped");
+        checker.revive(0);
+        assert_eq!(checker.dropped[0], 0);
+        for l in [a, b] {
+            let watchers = checker.watches[l.code()].iter();
+            assert_eq!(watchers.filter(|w| w.cref & !BINARY == 0).count(), 1);
+        }
+    }
+
+    #[test]
+    fn trim_reattaches_clauses_deleted_after_their_use() {
+        let [a, b, ..] = vars6();
+        let log = reattach_log();
+        assert_eq!(check(&log, &[]).unwrap().refutation_event, Some(7));
+        let (trimmed, _) = trim(&log, &[]).unwrap();
+        let kept: Vec<(ProofStep, Vec<Lit>)> =
+            trimmed.events().map(|(s, l)| (s, l.to_vec())).collect();
+        assert_eq!(kept.len(), 5, "{kept:?}");
+        assert_eq!(kept[0], (ProofStep::Axiom, vec![a, b]));
+    }
+
+    #[test]
+    fn reason_locked_clauses_survive_deletion() {
+        let [x, y, ..] = vars6();
+        let mut log = ProofLog::new();
+        log.push(ProofStep::Axiom, &[x]);
+        log.push(ProofStep::Axiom, &[!x, y]); // the root reason of y
+        log.push(ProofStep::Delete, &[!x, y]);
+        log.push(ProofStep::Axiom, &[!y]);
+        assert_eq!(check(&log, &[]).unwrap().refutation_event, Some(3));
+        let (trimmed, _) = trim(&log, &[]).unwrap();
+        assert_eq!(trimmed.num_axioms(), 3);
     }
 
     #[test]

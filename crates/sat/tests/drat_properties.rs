@@ -6,7 +6,10 @@
 //!    simplification pipeline in the loop), and the trimmed log re-checks,
 //! 2. corrupting the proof — dropping every lemma, or replacing a lemma with
 //!    a clause that is not a consequence — makes the checker reject,
-//! 3. verdicts with logging on and logging off agree.
+//! 3. verdicts with logging on and logging off agree,
+//! 4. on logs whose clause-database reductions delete clauses before the
+//!    refutation, `check` and `trim` agree and the trimmed log is a checkable
+//!    subsequence of the full one.
 
 use rtl::SplitMix64;
 use sat::drat::{check, trim, CheckError, ProofLog, ProofStep};
@@ -354,4 +357,71 @@ fn assumption_certificates_check() {
         }
     }
     assert!(tested >= 4, "generator produced too few unsat cases");
+}
+
+/// Whether `sub`'s events appear in `log` in order (not necessarily
+/// contiguously).
+fn is_subsequence(sub: &ProofLog, log: &ProofLog) -> bool {
+    let mut events = log.events();
+    sub.events()
+        .all(|(step, lits)| events.any(|(s, l)| s == step && l == lits))
+}
+
+/// Deletion-aware trimming on solver logs whose clause-database reductions
+/// delete clauses before the refutation: formulas past the size of the
+/// other properties, solved under a tiny learnt-clause budget so `reduce_db`
+/// runs. On every log, `check` and `trim` agree, the trimmed events are a
+/// subsequence of the log, and the trimmed log checks.
+#[test]
+fn deletion_aware_trim_agrees_with_check() {
+    let mut rng = SplitMix64::new(0xd8a7_0007);
+    let mut with_deletions = 0;
+    for case in 0..24 {
+        let num_vars = rng.gen_range(60..90) as usize;
+        let num_clauses = num_vars * 43 / 10 + rng.gen_u64_below(num_vars as u64 / 4) as usize;
+        let clauses: Vec<Vec<Lit>> = (0..num_clauses)
+            .map(|_| {
+                let mut vars: Vec<usize> = Vec::new();
+                while vars.len() < 3 {
+                    let v = rng.gen_u64_below(num_vars as u64) as usize;
+                    if !vars.contains(&v) {
+                        vars.push(v);
+                    }
+                }
+                vars.iter()
+                    .map(|&v| Lit::new(Var::from_index(v), rng.gen_bool()))
+                    .collect()
+            })
+            .collect();
+        let mut solver = Solver::new();
+        solver.reserve_vars(num_vars);
+        solver.set_learnt_budget(8);
+        solver.start_proof_log();
+        for c in &clauses {
+            solver.add_clause(c.iter().copied());
+        }
+        if !matches!(solver.solve(), SatResult::Unsat) {
+            continue;
+        }
+        let log = solver.take_proof_log().expect("logging was on");
+        let full = check(&log, &[]);
+        let trimmed = trim(&log, &[]);
+        assert_eq!(
+            full.is_ok(),
+            trimmed.is_ok(),
+            "case {case}: check {full:?} vs trim {:?}",
+            trimmed.as_ref().map(|(_, r)| r)
+        );
+        let report = full.unwrap_or_else(|e| panic!("case {case}: {e}"));
+        if report.deletions > 0 {
+            with_deletions += 1;
+        }
+        let (trimmed, _) = trimmed.expect("agrees with check");
+        assert!(is_subsequence(&trimmed, &log), "case {case}");
+        check(&trimmed, &[]).unwrap_or_else(|e| panic!("case {case}: trimmed recheck: {e}"));
+    }
+    assert!(
+        with_deletions >= 4,
+        "only {with_deletions} logs deleted clauses before their refutation"
+    );
 }
